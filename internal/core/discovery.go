@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"mtsim/internal/packet"
 	"mtsim/internal/routing"
 )
@@ -324,13 +326,13 @@ func (r *Router) forwardSourceRouted(p *packet.Packet) {
 	r.env.SendMac(fwd, p.SourceRoute[idx+1])
 }
 
+// hasLoop reports whether a node repeats in r. Routes are a handful of
+// hops, so the quadratic scan beats a set and allocates nothing.
 func hasLoop(r []packet.NodeID) bool {
-	seen := make(map[packet.NodeID]bool, len(r))
-	for _, n := range r {
-		if seen[n] {
+	for i, n := range r {
+		if slices.Contains(r[i+1:], n) {
 			return true
 		}
-		seen[n] = true
 	}
 	return false
 }

@@ -3,7 +3,7 @@ package geo
 import (
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -113,9 +113,9 @@ func TestGridBasic(t *testing.T) {
 	g.Update(1, Point{100, 100})
 	g.Update(2, Point{110, 100})
 	g.Update(3, Point{900, 900})
-	got := g.WithinRange(Point{105, 100}, 50, nil)
+	got := within(g, Point{105, 100}, 50)
 	if len(got) != 2 {
-		t.Fatalf("WithinRange found %v", got)
+		t.Fatalf("WithinRangeHits found %v", got)
 	}
 	if g.Len() != 3 {
 		t.Fatalf("Len = %d", g.Len())
@@ -130,11 +130,11 @@ func TestGridMove(t *testing.T) {
 	g := NewGrid(Field(1000, 1000), 100)
 	g.Update(1, Point{50, 50})
 	g.Update(1, Point{950, 950}) // crosses many cells
-	got := g.WithinRange(Point{50, 50}, 60, nil)
+	got := within(g, Point{50, 50}, 60)
 	if len(got) != 0 {
 		t.Fatalf("stale entry after move: %v", got)
 	}
-	got = g.WithinRange(Point{950, 950}, 10, nil)
+	got = within(g, Point{950, 950}, 10)
 	if len(got) != 1 || got[0] != 1 {
 		t.Fatalf("moved entry not found: %v", got)
 	}
@@ -144,11 +144,11 @@ func TestGridMoveWithinCell(t *testing.T) {
 	g := NewGrid(Field(1000, 1000), 500)
 	g.Update(1, Point{100, 100})
 	g.Update(1, Point{120, 120}) // same cell, exact position must update
-	got := g.WithinRange(Point{120, 120}, 1, nil)
+	got := within(g, Point{120, 120}, 1)
 	if len(got) != 1 {
 		t.Fatalf("exact position not updated: %v", got)
 	}
-	got = g.WithinRange(Point{100, 100}, 1, nil)
+	got = within(g, Point{100, 100}, 1)
 	if len(got) != 0 {
 		t.Fatalf("old position still matches: %v", got)
 	}
@@ -162,7 +162,7 @@ func TestGridRemove(t *testing.T) {
 	if g.Len() != 0 {
 		t.Fatalf("Len after remove = %d", g.Len())
 	}
-	if got := g.WithinRange(Point{5, 5}, 50, nil); len(got) != 0 {
+	if got := within(g, Point{5, 5}, 50); len(got) != 0 {
 		t.Fatalf("removed item found: %v", got)
 	}
 	if _, ok := g.Position(7); ok {
@@ -173,7 +173,7 @@ func TestGridRemove(t *testing.T) {
 func TestGridOutOfBoundsClamped(t *testing.T) {
 	g := NewGrid(Field(100, 100), 10)
 	g.Update(1, Point{-5, 105}) // clamped to an edge cell, not a panic
-	got := g.WithinRange(Point{0, 100}, 10, nil)
+	got := within(g, Point{0, 100}, 10)
 	if len(got) != 1 {
 		t.Fatalf("edge item not found: %v", got)
 	}
@@ -209,15 +209,14 @@ func TestGridMatchesBruteForceProperty(t *testing.T) {
 		}
 		centre := Point{rng.Float64() * 1000, rng.Float64() * 1000}
 		radius := rng.Float64() * 400
-		got := g.WithinRange(centre, radius, nil)
+		got := within(g, centre, radius)
 		var want []int32
 		for id, p := range pts {
 			if p.DistanceSqTo(centre) <= radius*radius {
 				want = append(want, id)
 			}
 		}
-		sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
-		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
+		slices.Sort(want)
 		if len(got) != len(want) {
 			t.Fatalf("trial %d: got %d items, want %d", trial, len(got), len(want))
 		}
@@ -229,15 +228,15 @@ func TestGridMatchesBruteForceProperty(t *testing.T) {
 	}
 }
 
-func BenchmarkGridWithinRange(b *testing.B) {
+func BenchmarkGridWithinRangeHits(b *testing.B) {
 	g := NewGrid(Field(1000, 1000), 250)
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 50; i++ {
 		g.Update(int32(i), Point{rng.Float64() * 1000, rng.Float64() * 1000})
 	}
-	buf := make([]int32, 0, 64)
+	buf := make([]Hit, 0, 64)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf = g.WithinRange(Point{500, 500}, 250, buf[:0])
+		buf = g.WithinRangeHits(Point{500, 500}, 250, buf[:0])
 	}
 }

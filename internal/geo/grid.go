@@ -1,11 +1,18 @@
 package geo
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // Grid is a uniform-grid spatial index mapping integer item IDs to points.
 // Cell size should be on the order of the query radius; range queries then
 // touch only the 3×3 (or slightly larger) block of cells around the centre
 // instead of scanning every item.
+//
+// IDs are small non-negative integers — dense indices such as the PHY's
+// radio indices — because per-item storage is indexed by ID: memory grows
+// with the largest ID ever inserted, not with the number of live items.
 //
 // The simulator uses it to find the receivers of a radio transmission: all
 // nodes within carrier-sense range of a transmitter.
@@ -14,15 +21,11 @@ type Grid struct {
 	origin Point
 	cols   int
 	rows   int
-	cells  [][]cellItem  // cell index -> items (id + position)
-	where  map[int32]int // item id -> cell index
-}
-
-// cellItem stores the position inline with the id so that WithinRange—the
-// hot path—never touches a map.
-type cellItem struct {
-	id int32
-	p  Point
+	cells  [][]int32 // cell index -> ids
+	where  []int32   // id -> cell index, -1 when absent
+	pos    []Point   // id -> position snapshot (valid while where[id] >= 0)
+	n      int       // live items
+	marks  []uint64  // query scratch bitset over ids; all-zero between queries
 }
 
 // gridDims derives the cell-array geometry for the given bounds and cell
@@ -47,8 +50,7 @@ func NewGrid(bounds Rect, cellSize float64) *Grid {
 		origin: Point{bounds.MinX, bounds.MinY},
 		cols:   cols,
 		rows:   rows,
-		cells:  make([][]cellItem, cols*rows),
-		where:  make(map[int32]int),
+		cells:  make([][]int32, cols*rows),
 	}
 }
 
@@ -58,40 +60,47 @@ func (g *Grid) cellIndex(p Point) int {
 	return cy*g.cols + cx
 }
 
-// Update inserts the item or moves it to a new position.
+// Update inserts the item or moves it to a new position. Negative IDs
+// panic.
 func (g *Grid) Update(id int32, p Point) {
-	newCell := g.cellIndex(p)
-	if old, ok := g.where[id]; ok {
-		if old == newCell {
-			items := g.cells[old]
-			for i := range items {
-				if items[i].id == id {
-					items[i].p = p
-					return
-				}
-			}
-			panic("geo: grid cell missing indexed item")
-		}
+	if id < 0 {
+		panic("geo: negative grid item id")
+	}
+	for int(id) >= len(g.where) {
+		g.where = append(g.where, -1)
+		g.pos = append(g.pos, Point{})
+	}
+	for len(g.marks)*64 < len(g.where) {
+		g.marks = append(g.marks, 0)
+	}
+	newCell := int32(g.cellIndex(p))
+	g.pos[id] = p
+	switch old := g.where[id]; old {
+	case newCell:
+		return
+	case -1:
+		g.n++
+	default:
 		g.removeFromCell(id, old)
 	}
-	g.cells[newCell] = append(g.cells[newCell], cellItem{id, p})
+	g.cells[newCell] = append(g.cells[newCell], id)
 	g.where[id] = newCell
 }
 
 // Remove deletes the item; removing an absent item is a no-op.
 func (g *Grid) Remove(id int32) {
-	cell, ok := g.where[id]
-	if !ok {
+	if id < 0 || int(id) >= len(g.where) || g.where[id] < 0 {
 		return
 	}
-	g.removeFromCell(id, cell)
-	delete(g.where, id)
+	g.removeFromCell(id, g.where[id])
+	g.where[id] = -1
+	g.n--
 }
 
-func (g *Grid) removeFromCell(id int32, cell int) {
+func (g *Grid) removeFromCell(id, cell int32) {
 	items := g.cells[cell]
 	for i := range items {
-		if items[i].id == id {
+		if items[i] == id {
 			items[i] = items[len(items)-1]
 			g.cells[cell] = items[:len(items)-1]
 			return
@@ -100,10 +109,10 @@ func (g *Grid) removeFromCell(id int32, cell int) {
 }
 
 // Len returns the number of indexed items.
-func (g *Grid) Len() int { return len(g.where) }
+func (g *Grid) Len() int { return g.n }
 
 // Reset empties the grid for reuse under the given geometry, keeping the
-// per-cell item storage and the id map's buckets. It reports false — and
+// per-cell item storage and the per-id arrays. It reports false — and
 // changes nothing — when the geometry (cell size, origin, or grid
 // dimensions) differs from the existing one, in which case the caller must
 // allocate a fresh grid. Reusing the storage matters to batch executors
@@ -117,50 +126,19 @@ func (g *Grid) Reset(bounds Rect, cellSize float64) bool {
 	for i := range g.cells {
 		g.cells[i] = g.cells[i][:0]
 	}
-	clear(g.where)
+	for i := range g.where {
+		g.where[i] = -1
+	}
+	g.n = 0
 	return true
 }
 
 // Position returns the stored position of an item.
 func (g *Grid) Position(id int32) (Point, bool) {
-	cell, ok := g.where[id]
-	if !ok {
+	if id < 0 || int(id) >= len(g.where) || g.where[id] < 0 {
 		return Point{}, false
 	}
-	for _, it := range g.cells[cell] {
-		if it.id == id {
-			return it.p, true
-		}
-	}
-	return Point{}, false
-}
-
-// WithinRange appends to dst the IDs of all items within radius of centre
-// (inclusive) and returns the extended slice. The caller may pass a reused
-// buffer to avoid allocation. Order is unspecified but deterministic for a
-// given history of updates.
-//
-// Both block bounds are clamped into the grid, so a query centred beyond
-// the indexed bounds still scans the edge cells where out-of-bounds items
-// live: clamping is monotonic, so an item within radius always lands inside
-// the scanned block no matter how far either point strays.
-func (g *Grid) WithinRange(centre Point, radius float64, dst []int32) []int32 {
-	r2 := radius * radius
-	minCX := min(max(int((centre.X-radius-g.origin.X)/g.cell), 0), g.cols-1)
-	maxCX := min(max(int((centre.X+radius-g.origin.X)/g.cell), 0), g.cols-1)
-	minCY := min(max(int((centre.Y-radius-g.origin.Y)/g.cell), 0), g.rows-1)
-	maxCY := min(max(int((centre.Y+radius-g.origin.Y)/g.cell), 0), g.rows-1)
-	for cy := minCY; cy <= maxCY; cy++ {
-		row := g.cells[cy*g.cols+minCX : cy*g.cols+maxCX+1]
-		for _, items := range row {
-			for _, it := range items {
-				if it.p.DistanceSqTo(centre) <= r2 {
-					dst = append(dst, it.id)
-				}
-			}
-		}
-	}
-	return dst
+	return g.pos[id], true
 }
 
 // Hit is one WithinRangeHits result: an item id together with the position
@@ -173,11 +151,20 @@ type Hit struct {
 	P  Point
 }
 
-// WithinRangeHits is the batch-fill variant of WithinRange: it appends one
-// Hit per item within radius of centre (inclusive), carrying the stored
-// position snapshot alongside the id so one grid pass yields everything a
-// per-transmission receiver batch needs. Order is unspecified but
-// deterministic for a given history of updates, exactly like WithinRange.
+// WithinRangeHits appends one Hit per item within radius of centre
+// (inclusive), carrying the stored position snapshot alongside the id, and
+// returns the extended slice. Hits come out in ascending ID order, so a
+// caller that must visit items in index order (the PHY's receiver batch)
+// needs no sort. The caller may pass a reused buffer to avoid allocation.
+//
+// Both block bounds are clamped into the grid, so a query centred beyond
+// the indexed bounds still scans the edge cells where out-of-bounds items
+// live: clamping is monotonic, so an item within radius always lands inside
+// the scanned block no matter how far either point strays.
+//
+// The order comes from the marks bitset: the cell pass sets one bit per
+// hit, and the word scan emits the set bits lowest first, zeroing each word
+// as it goes so the bitset is clean for the next query.
 func (g *Grid) WithinRangeHits(centre Point, radius float64, dst []Hit) []Hit {
 	r2 := radius * radius
 	minCX := min(max(int((centre.X-radius-g.origin.X)/g.cell), 0), g.cols-1)
@@ -186,12 +173,23 @@ func (g *Grid) WithinRangeHits(centre Point, radius float64, dst []Hit) []Hit {
 	maxCY := min(max(int((centre.Y+radius-g.origin.Y)/g.cell), 0), g.rows-1)
 	for cy := minCY; cy <= maxCY; cy++ {
 		row := g.cells[cy*g.cols+minCX : cy*g.cols+maxCX+1]
-		for _, items := range row {
-			for _, it := range items {
-				if it.p.DistanceSqTo(centre) <= r2 {
-					dst = append(dst, Hit{ID: it.id, P: it.p})
+		for _, ids := range row {
+			for _, id := range ids {
+				if g.pos[id].DistanceSqTo(centre) <= r2 {
+					g.marks[id>>6] |= 1 << (id & 63)
 				}
 			}
+		}
+	}
+	for w, word := range g.marks {
+		if word == 0 {
+			continue
+		}
+		g.marks[w] = 0
+		for word != 0 {
+			id := int32(w<<6 + bits.TrailingZeros64(word))
+			word &= word - 1
+			dst = append(dst, Hit{ID: id, P: g.pos[id]})
 		}
 	}
 	return dst

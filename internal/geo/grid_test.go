@@ -2,7 +2,7 @@ package geo
 
 import (
 	"math/rand"
-	"sort"
+	"slices"
 	"testing"
 )
 
@@ -14,8 +14,7 @@ func TestGridWithinRangeInclusiveBoundary(t *testing.T) {
 	g.Update(2, Point{750, 500}) // exactly radius away
 	g.Update(3, Point{750.0001, 500})
 
-	got := g.WithinRange(Point{500, 500}, 250, nil)
-	sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
+	got := within(g, Point{500, 500}, 250)
 	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
 		t.Fatalf("boundary item mishandled: %v", got)
 	}
@@ -29,7 +28,7 @@ func TestGridRemoveAbsent(t *testing.T) {
 	if g.Len() != 1 {
 		t.Fatalf("Len = %d after removing an absent id", g.Len())
 	}
-	if got := g.WithinRange(Point{5, 5}, 1, nil); len(got) != 1 {
+	if got := within(g, Point{5, 5}, 1); len(got) != 1 {
 		t.Fatalf("present item lost: %v", got)
 	}
 }
@@ -40,30 +39,30 @@ func TestGridCellBoundaryCrossing(t *testing.T) {
 	g := NewGrid(Field(1000, 1000), 100)
 	for x := 95.0; x <= 105; x += 1 { // walks across the x=100 cell edge
 		g.Update(1, Point{x, 50})
-		got := g.WithinRange(Point{x, 50}, 0.5, nil)
+		got := within(g, Point{x, 50}, 0.5)
 		if len(got) != 1 || got[0] != 1 {
 			t.Fatalf("item lost at x=%v: %v", x, got)
 		}
-		if prev := g.WithinRange(Point{x - 10, 50}, 0.5, nil); len(prev) != 0 {
+		if prev := within(g, Point{x - 10, 50}, 0.5); len(prev) != 0 {
 			t.Fatalf("stale position at x=%v: %v", x, prev)
 		}
 	}
 }
 
-// WithinRange must reuse the caller's buffer without allocating once its
-// capacity suffices — the PHY calls it on every transmission.
+// WithinRangeHits must reuse the caller's buffer without allocating once
+// its capacity suffices — the PHY calls it on every transmission.
 func TestGridWithinRangeReusesBuffer(t *testing.T) {
 	g := NewGrid(Field(1000, 1000), 250)
 	rng := rand.New(rand.NewSource(2))
 	for i := 0; i < 64; i++ {
 		g.Update(int32(i), Point{rng.Float64() * 1000, rng.Float64() * 1000})
 	}
-	buf := make([]int32, 0, 128)
+	buf := make([]Hit, 0, 128)
 	allocs := testing.AllocsPerRun(100, func() {
-		buf = g.WithinRange(Point{500, 500}, 400, buf[:0])
+		buf = g.WithinRangeHits(Point{500, 500}, 400, buf[:0])
 	})
 	if allocs != 0 {
-		t.Fatalf("WithinRange allocates %.1f objects/op with a sized buffer", allocs)
+		t.Fatalf("WithinRangeHits allocates %.1f objects/op with a sized buffer", allocs)
 	}
 	if len(buf) == 0 {
 		t.Fatal("query returned nothing")
@@ -94,15 +93,14 @@ func TestGridOutOfBoundsMatchesBruteForce(t *testing.T) {
 		}
 		centre := Point{rng.Float64()*3000 - 1000, rng.Float64()*3000 - 1000}
 		radius := rng.Float64() * 600
-		got := g.WithinRange(centre, radius, nil)
+		got := within(g, centre, radius)
 		var want []int32
 		for id, p := range pts {
 			if p.DistanceSqTo(centre) <= radius*radius {
 				want = append(want, id)
 			}
 		}
-		sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
-		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
+		slices.Sort(want)
 		if len(got) != len(want) {
 			t.Fatalf("trial %d: got %v want %v (centre %v r %v)", trial, got, want, centre, radius)
 		}
@@ -126,12 +124,12 @@ func TestGridResetReusesStorage(t *testing.T) {
 	if g.Len() != 0 {
 		t.Fatalf("reset grid holds %d items", g.Len())
 	}
-	if got := g.WithinRange(Point{X: 100, Y: 100}, 1000, nil); len(got) != 0 {
+	if got := within(g, Point{X: 100, Y: 100}, 1000); len(got) != 0 {
 		t.Fatalf("reset grid answered %v", got)
 	}
 	// Refilled, it behaves like a fresh grid.
 	g.Update(7, Point{X: 500, Y: 500})
-	if got := g.WithinRange(Point{X: 500, Y: 500}, 10, nil); len(got) != 1 || got[0] != 7 {
+	if got := within(g, Point{X: 500, Y: 500}, 10); len(got) != 1 || got[0] != 7 {
 		t.Fatalf("after reset+update: %v", got)
 	}
 	// Any geometry change refuses reuse and leaves the grid untouched.
@@ -147,4 +145,108 @@ func TestGridResetReusesStorage(t *testing.T) {
 	if got, ok := g.Position(7); !ok || got != (Point{X: 500, Y: 500}) {
 		t.Fatal("refused reset must not disturb contents")
 	}
+}
+
+// within is the id column of a WithinRangeHits answer.
+func within(g *Grid, centre Point, radius float64) []int32 {
+	var ids []int32
+	for _, h := range g.WithinRangeHits(centre, radius, nil) {
+		ids = append(ids, h.ID)
+	}
+	return ids
+}
+
+// checkHits asserts that one WithinRangeHits answer is strictly ascending
+// in ID, carries each item's stored position, and holds exactly the items
+// a brute-force scan over pts finds within radius of centre.
+func checkHits(t *testing.T, g *Grid, pts map[int32]Point, centre Point, radius float64) {
+	t.Helper()
+	hits := g.WithinRangeHits(centre, radius, nil)
+	var want []int32
+	for id, p := range pts {
+		if p.DistanceSqTo(centre) <= radius*radius {
+			want = append(want, id)
+		}
+	}
+	slices.Sort(want)
+	if len(hits) != len(want) {
+		t.Fatalf("centre %v r %v: %d hits %v, want %v", centre, radius, len(hits), hits, want)
+	}
+	for i, h := range hits {
+		if h.ID != want[i] || h.P != pts[h.ID] {
+			t.Fatalf("centre %v r %v: hit %d = %v, want id %d at %v (hits %v)",
+				centre, radius, i, h, want[i], pts[want[i]], hits)
+		}
+	}
+}
+
+// Property: under random Update/Remove histories, WithinRangeHits is
+// strictly ascending in ID and set-equal to a brute-force scan — the
+// ordering contract the PHY relies on instead of sorting.
+func TestGridHitsAscendingMatchBruteForce(t *testing.T) {
+	// IDs straddling the 64-bit word boundaries of the hit bitset.
+	boundary := []int32{0, 1, 62, 63, 64, 65, 126, 127, 128, 129, 191, 192}
+	pick := func(rng *rand.Rand, maxID int) int32 {
+		if rng.Intn(2) == 0 {
+			return boundary[rng.Intn(len(boundary))]
+		}
+		return int32(rng.Intn(maxID))
+	}
+	// history applies n random updates and removes, mirroring them in pts,
+	// and checks a query after every step.
+	history := func(t *testing.T, rng *rand.Rand, g *Grid, pts map[int32]Point, n, maxID int, span, off float64) {
+		for step := 0; step < n; step++ {
+			id := pick(rng, maxID)
+			if rng.Intn(4) == 0 {
+				g.Remove(id)
+				delete(pts, id)
+			} else {
+				p := Point{rng.Float64()*span - off, rng.Float64()*span - off}
+				g.Update(id, p)
+				pts[id] = p
+			}
+			if g.Len() != len(pts) {
+				t.Fatalf("step %d: Len %d, want %d", step, g.Len(), len(pts))
+			}
+			centre := Point{rng.Float64()*span - off, rng.Float64()*span - off}
+			checkHits(t, g, pts, centre, rng.Float64()*400)
+		}
+	}
+
+	t.Run("word-boundaries", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(21))
+		for trial := 0; trial < 20; trial++ {
+			g := NewGrid(Field(1000, 1000), 125)
+			history(t, rng, g, map[int32]Point{}, 200, 200, 1000, 0)
+		}
+	})
+
+	t.Run("reset-reuse-fewer-items", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(22))
+		g := NewGrid(Field(1000, 1000), 250)
+		// A large population first, then ever smaller ones on the same
+		// storage: ids and bits from earlier runs must never resurface.
+		for _, maxID := range []int{200, 130, 65, 10} {
+			if !g.Reset(Field(1000, 1000), 250) {
+				t.Fatal("same geometry must be reusable")
+			}
+			pts := map[int32]Point{}
+			for id := int32(0); id < int32(maxID); id++ {
+				p := Point{rng.Float64() * 1000, rng.Float64() * 1000}
+				g.Update(id, p)
+				pts[id] = p
+			}
+			checkHits(t, g, pts, Point{500, 500}, 2000) // everything
+			history(t, rng, g, pts, 100, maxID, 1000, 0)
+		}
+	})
+
+	t.Run("centres-outside-bounds", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(23))
+		for trial := 0; trial < 20; trial++ {
+			g := NewGrid(Field(500, 500), 100)
+			// Items and centres in [-1000, 2000): mostly off the field.
+			history(t, rng, g, map[int32]Point{}, 150, 200, 3000, 1000)
+		}
+	})
 }

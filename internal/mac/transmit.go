@@ -54,8 +54,13 @@ func (m *Mac) mediumFree() bool {
 // NAV changes, tx completion, response completion, job completion.
 func (m *Mac) reconsider() {
 	if m.state == stIdle && m.cur == nil && len(m.queue) > 0 {
+		// Shift down in place (at most QueueCap pointers) rather than
+		// reslicing past the head, which would leak the slice's capacity
+		// and make every later append reallocate.
 		m.cur = m.queue[0]
-		m.queue = m.queue[1:]
+		n := copy(m.queue, m.queue[1:])
+		m.queue[n] = nil
+		m.queue = m.queue[:n]
 		m.seqCounter++
 		m.cur.seq = m.seqCounter
 		m.backoffSlots = m.drawBackoff()

@@ -52,9 +52,7 @@
 package phy
 
 import (
-	"cmp"
 	"math"
-	"slices"
 
 	"mtsim/internal/geo"
 	"mtsim/internal/packet"
@@ -564,12 +562,12 @@ func (c *Channel) Transmit(tx *Radio, f *packet.Frame, airtime sim.Duration) {
 				c.nextRefresh = now.Add(c.epoch)
 			}
 		}
-		c.hits = c.grid.WithinRangeHits(txPos, c.CSRange+c.slack, c.hits[:0])
 		// Candidate order must match the linear scan (= attach order): the
 		// scheduler breaks timestamp ties by insertion sequence, and the
 		// batch delivers in fill order, so the order receivers enter the
-		// batch is observable.
-		slices.SortFunc(c.hits, func(a, b geo.Hit) int { return cmp.Compare(a.ID, b.ID) })
+		// batch is observable. Grid ids are radio indices, so the grid's
+		// ascending-id hits already come in attach order.
+		c.hits = c.grid.WithinRangeHits(txPos, c.CSRange+c.slack, c.hits[:0])
 		for _, h := range c.hits {
 			rcv := c.radios[h.ID]
 			if rcv == tx {

@@ -1,6 +1,7 @@
 package phy
 
 import (
+	"slices"
 	"testing"
 
 	"mtsim/internal/geo"
@@ -381,5 +382,56 @@ func TestChannelResetRecyclesRadios(t *testing.T) {
 	}
 	if recycled != 4 {
 		t.Fatalf("recycled %d of 4 radio structs", recycled)
+	}
+}
+
+// orderLog is a Listener that appends its radio index to a shared log on
+// every RxEnd, exposing the order the channel delivers a batch in.
+type orderLog struct {
+	idx int
+	log *[]int
+}
+
+func (o orderLog) EnergyUp()                 {}
+func (o orderLog) EnergyDown()               {}
+func (o orderLog) RxEnd(*packet.Frame, bool) { *o.log = append(*o.log, o.idx) }
+
+// The grid path must hand receivers to the batch in attach (radio-ID)
+// order, exactly like the linear scan: the channel no longer sorts, so
+// this rests on geo.Grid's ascending-ID contract. Radios are scattered so
+// that cell order and ID order disagree, and there are more than 64 of
+// them so the order crosses a bitset word boundary.
+func TestGridDeliversInAttachOrder(t *testing.T) {
+	deliveries := func(linear bool) []int {
+		s := sim.NewScheduler()
+		c := NewChannel(s, 250, 550)
+		c.EnableGrid(geo.Field(500, 500), 50)
+		c.UseLinearScan(linear)
+		var log []int
+		var tx *Radio
+		for i := 0; i < 150; i++ {
+			// A deterministic scramble of the positions over the field.
+			x, y := float64(i*137%500), float64(i*71%500)
+			r := c.Attach(packet.NodeID(i), fixed(x, y), orderLog{idx: i, log: &log})
+			r.SetMaxSpeed(0)
+			if i == 75 {
+				tx = r
+			}
+		}
+		c.Transmit(tx, testFrame(75, packet.Broadcast), sim.Millisecond)
+		s.Run()
+		return log
+	}
+	grid, linear := deliveries(false), deliveries(true)
+	if len(grid) < 100 {
+		t.Fatalf("only %d receivers decoded; the field is too sparse to test order", len(grid))
+	}
+	for i := 1; i < len(grid); i++ {
+		if grid[i] <= grid[i-1] {
+			t.Fatalf("grid delivered out of attach order at %d: %v", i, grid)
+		}
+	}
+	if !slices.Equal(grid, linear) {
+		t.Fatalf("grid and linear delivery orders differ:\ngrid   %v\nlinear %v", grid, linear)
 	}
 }

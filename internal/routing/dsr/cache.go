@@ -1,6 +1,8 @@
 package dsr
 
 import (
+	"slices"
+
 	"mtsim/internal/packet"
 	"mtsim/internal/routing"
 )
@@ -223,13 +225,13 @@ func equalRoute(a, b []packet.NodeID) bool {
 	return true
 }
 
+// hasLoop reports whether a node repeats in r. Routes are a handful of
+// hops, so the quadratic scan beats a set and allocates nothing.
 func hasLoop(r []packet.NodeID) bool {
-	seen := make(map[packet.NodeID]bool, len(r))
-	for _, n := range r {
-		if seen[n] {
+	for i, n := range r {
+		if slices.Contains(r[i+1:], n) {
 			return true
 		}
-		seen[n] = true
 	}
 	return false
 }

@@ -95,7 +95,9 @@ type Sender struct {
 	rto          sim.Duration
 	backoff      int
 
-	timer *sim.Event
+	// timer is the pending retransmission timeout: a pooled task event
+	// (the Sender is its Task), so arming it allocates nothing.
+	timer sim.TaskHandle
 
 	// limit is how many segments the application has made available;
 	// an FTP source keeps this effectively infinite.
@@ -200,7 +202,7 @@ func (s *Sender) emit(seq int64) {
 		s.Stats.Retransmits++
 	}
 	s.net.Originate(p)
-	if s.timer == nil {
+	if !s.timer.Pending() {
 		s.armTimer()
 	}
 }
@@ -210,14 +212,12 @@ func (s *Sender) armTimer() {
 	if d > s.cfg.MaxRTO {
 		d = s.cfg.MaxRTO
 	}
-	s.timer = s.net.Scheduler().After(d, s.onTimeout)
+	s.timer = s.net.Scheduler().AfterTaskCancellable(d, s, 0)
 }
 
 func (s *Sender) cancelTimer() {
-	if s.timer != nil {
-		s.net.Scheduler().Cancel(s.timer)
-		s.timer = nil
-	}
+	s.net.Scheduler().CancelTask(s.timer) // a clear handle is a no-op
+	s.timer = sim.TaskHandle{}
 }
 
 // receive handles an incoming ACK.
@@ -305,8 +305,9 @@ func (s *Sender) dupAck() {
 	}
 }
 
-func (s *Sender) onTimeout() {
-	s.timer = nil
+// Run implements sim.Task: the retransmission timer fired.
+func (s *Sender) Run(int) {
+	s.timer = sim.TaskHandle{}
 	if s.sndUna >= s.sndNxt {
 		return // everything acked meanwhile
 	}
@@ -324,7 +325,7 @@ func (s *Sender) onTimeout() {
 	// Go-back-N: everything past the last cumulative ACK is presumed
 	// lost; rewind and resend forward in slow start (ns-2 semantics).
 	s.sndNxt = s.sndUna
-	s.trySend() // emits sndUna and re-arms the timer (it is nil here)
+	s.trySend() // emits sndUna and re-arms the timer (it is clear here)
 }
 
 // sampleRTT folds one measurement into srtt/rttvar and recomputes the RTO
