@@ -1,12 +1,16 @@
 GO ?= go
 
-.PHONY: build test test-race test-chaos vet bench bench-smoke sweep-demo sweepd-demo coevolution-demo clean
+.PHONY: build test test-race test-chaos vet fmt-check bench bench-smoke sweep-demo sweepd-demo coevolution-demo clean
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+# Fails listing the files gofmt would rewrite.
+fmt-check:
+	@test -z "$$(gofmt -l .)" || { gofmt -l .; exit 1; }
 
 test:
 	$(GO) test ./...

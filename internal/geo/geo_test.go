@@ -115,7 +115,7 @@ func TestGridBasic(t *testing.T) {
 	g.Update(3, Point{900, 900})
 	got := within(g, Point{105, 100}, 50)
 	if len(got) != 2 {
-		t.Fatalf("WithinRangeHits found %v", got)
+		t.Fatalf("MarkWithinRange found %v", got)
 	}
 	if g.Len() != 3 {
 		t.Fatalf("Len = %d", g.Len())
@@ -228,15 +228,16 @@ func TestGridMatchesBruteForceProperty(t *testing.T) {
 	}
 }
 
-func BenchmarkGridWithinRangeHits(b *testing.B) {
+func BenchmarkGridMarkWithinRange(b *testing.B) {
 	g := NewGrid(Field(1000, 1000), 250)
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 50; i++ {
 		g.Update(int32(i), Point{rng.Float64() * 1000, rng.Float64() * 1000})
 	}
-	buf := make([]Hit, 0, 64)
+	marks := make([]uint64, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf = g.WithinRangeHits(Point{500, 500}, 250, buf[:0])
+		marks[0] = 0
+		g.MarkWithinRange(Point{500, 500}, 250, marks)
 	}
 }

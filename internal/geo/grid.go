@@ -1,9 +1,6 @@
 package geo
 
-import (
-	"math"
-	"math/bits"
-)
+import "math"
 
 // Grid is a uniform-grid spatial index mapping integer item IDs to points.
 // Cell size should be on the order of the query radius; range queries then
@@ -25,7 +22,6 @@ type Grid struct {
 	where  []int32   // id -> cell index, -1 when absent
 	pos    []Point   // id -> position snapshot (valid while where[id] >= 0)
 	n      int       // live items
-	marks  []uint64  // query scratch bitset over ids; all-zero between queries
 }
 
 // gridDims derives the cell-array geometry for the given bounds and cell
@@ -69,9 +65,6 @@ func (g *Grid) Update(id int32, p Point) {
 	for int(id) >= len(g.where) {
 		g.where = append(g.where, -1)
 		g.pos = append(g.pos, Point{})
-	}
-	for len(g.marks)*64 < len(g.where) {
-		g.marks = append(g.marks, 0)
 	}
 	newCell := int32(g.cellIndex(p))
 	g.pos[id] = p
@@ -141,31 +134,18 @@ func (g *Grid) Position(id int32) (Point, bool) {
 	return g.pos[id], true
 }
 
-// Hit is one WithinRangeHits result: an item id together with the position
-// snapshot the grid holds for it. Callers whose items cannot have drifted
-// since their last Update (stationary radios) may use P directly and skip a
-// second position lookup; for items that do drift, P is the snapshot the
-// query radius was inflated against and the caller must re-check exactly.
-type Hit struct {
-	ID int32
-	P  Point
-}
-
-// WithinRangeHits appends one Hit per item within radius of centre
-// (inclusive), carrying the stored position snapshot alongside the id, and
-// returns the extended slice. Hits come out in ascending ID order, so a
-// caller that must visit items in index order (the PHY's receiver batch)
-// needs no sort. The caller may pass a reused buffer to avoid allocation.
+// MarkWithinRange sets bit id of marks for every item within radius of
+// centre (inclusive) and leaves the other bits as they are. marks must
+// have a bit for every id in the grid. A caller that walks the set bits
+// lowest first visits the items in ascending ID order, so the PHY's
+// receiver batch needs no sort, and clearing the words as it reads them
+// keeps the bitset reusable without allocation.
 //
 // Both block bounds are clamped into the grid, so a query centred beyond
 // the indexed bounds still scans the edge cells where out-of-bounds items
 // live: clamping is monotonic, so an item within radius always lands inside
 // the scanned block no matter how far either point strays.
-//
-// The order comes from the marks bitset: the cell pass sets one bit per
-// hit, and the word scan emits the set bits lowest first, zeroing each word
-// as it goes so the bitset is clean for the next query.
-func (g *Grid) WithinRangeHits(centre Point, radius float64, dst []Hit) []Hit {
+func (g *Grid) MarkWithinRange(centre Point, radius float64, marks []uint64) {
 	r2 := radius * radius
 	minCX := min(max(int((centre.X-radius-g.origin.X)/g.cell), 0), g.cols-1)
 	maxCX := min(max(int((centre.X+radius-g.origin.X)/g.cell), 0), g.cols-1)
@@ -176,21 +156,9 @@ func (g *Grid) WithinRangeHits(centre Point, radius float64, dst []Hit) []Hit {
 		for _, ids := range row {
 			for _, id := range ids {
 				if g.pos[id].DistanceSqTo(centre) <= r2 {
-					g.marks[id>>6] |= 1 << (id & 63)
+					marks[id>>6] |= 1 << (id & 63)
 				}
 			}
 		}
 	}
-	for w, word := range g.marks {
-		if word == 0 {
-			continue
-		}
-		g.marks[w] = 0
-		for word != 0 {
-			id := int32(w<<6 + bits.TrailingZeros64(word))
-			word &= word - 1
-			dst = append(dst, Hit{ID: id, P: g.pos[id]})
-		}
-	}
-	return dst
 }

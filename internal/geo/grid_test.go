@@ -1,6 +1,7 @@
 package geo
 
 import (
+	"math/bits"
 	"math/rand"
 	"slices"
 	"testing"
@@ -49,23 +50,24 @@ func TestGridCellBoundaryCrossing(t *testing.T) {
 	}
 }
 
-// WithinRangeHits must reuse the caller's buffer without allocating once
-// its capacity suffices — the PHY calls it on every transmission.
+// MarkWithinRange must not allocate: the PHY calls it on every
+// transmission with a bitset it keeps.
 func TestGridWithinRangeReusesBuffer(t *testing.T) {
 	g := NewGrid(Field(1000, 1000), 250)
 	rng := rand.New(rand.NewSource(2))
 	for i := 0; i < 64; i++ {
 		g.Update(int32(i), Point{rng.Float64() * 1000, rng.Float64() * 1000})
 	}
-	buf := make([]Hit, 0, 128)
+	marks := make([]uint64, 1)
 	allocs := testing.AllocsPerRun(100, func() {
-		buf = g.WithinRangeHits(Point{500, 500}, 400, buf[:0])
+		marks[0] = 0
+		g.MarkWithinRange(Point{500, 500}, 400, marks)
 	})
 	if allocs != 0 {
-		t.Fatalf("WithinRangeHits allocates %.1f objects/op with a sized buffer", allocs)
+		t.Fatalf("MarkWithinRange allocates %.1f objects/op", allocs)
 	}
-	if len(buf) == 0 {
-		t.Fatal("query returned nothing")
+	if marks[0] == 0 {
+		t.Fatal("query marked nothing")
 	}
 }
 
@@ -147,21 +149,43 @@ func TestGridResetReusesStorage(t *testing.T) {
 	}
 }
 
-// within is the id column of a WithinRangeHits answer.
-func within(g *Grid, centre Point, radius float64) []int32 {
+// words is the bitset length that covers every id the grid has seen.
+func words(g *Grid) int { return (len(g.where) + 63) / 64 }
+
+// setBits lists the set bits of marks lowest first.
+func setBits(marks []uint64) []int32 {
 	var ids []int32
-	for _, h := range g.WithinRangeHits(centre, radius, nil) {
-		ids = append(ids, h.ID)
+	for w, word := range marks {
+		for word != 0 {
+			ids = append(ids, int32(w<<6+bits.TrailingZeros64(word)))
+			word &= word - 1
+		}
 	}
 	return ids
 }
 
-// checkHits asserts that one WithinRangeHits answer is strictly ascending
-// in ID, carries each item's stored position, and holds exactly the items
-// a brute-force scan over pts finds within radius of centre.
+// within is the ascending id list of one MarkWithinRange answer.
+func within(g *Grid, centre Point, radius float64) []int32 {
+	marks := make([]uint64, words(g))
+	g.MarkWithinRange(centre, radius, marks)
+	return setBits(marks)
+}
+
+// checkHits asserts that one MarkWithinRange answer marks exactly the items
+// a brute-force scan over pts finds within radius of centre, that Position
+// returns each marked item's stored position, and that bits the query had
+// no business with (a sentinel in an extra word) survive it.
 func checkHits(t *testing.T, g *Grid, pts map[int32]Point, centre Point, radius float64) {
 	t.Helper()
-	hits := g.WithinRangeHits(centre, radius, nil)
+	n := words(g)
+	marks := make([]uint64, n+1)
+	const sentinel = 1 << 37
+	marks[n] = sentinel
+	g.MarkWithinRange(centre, radius, marks)
+	if marks[n] != sentinel {
+		t.Fatalf("centre %v r %v: bits outside the grid's ids changed: %#x", centre, radius, marks[n])
+	}
+	hits := setBits(marks[:n])
 	var want []int32
 	for id, p := range pts {
 		if p.DistanceSqTo(centre) <= radius*radius {
@@ -169,22 +193,21 @@ func checkHits(t *testing.T, g *Grid, pts map[int32]Point, centre Point, radius 
 		}
 	}
 	slices.Sort(want)
-	if len(hits) != len(want) {
-		t.Fatalf("centre %v r %v: %d hits %v, want %v", centre, radius, len(hits), hits, want)
+	if !slices.Equal(hits, want) {
+		t.Fatalf("centre %v r %v: marked %v, want %v", centre, radius, hits, want)
 	}
-	for i, h := range hits {
-		if h.ID != want[i] || h.P != pts[h.ID] {
-			t.Fatalf("centre %v r %v: hit %d = %v, want id %d at %v (hits %v)",
-				centre, radius, i, h, want[i], pts[want[i]], hits)
+	for _, id := range hits {
+		if p, ok := g.Position(id); !ok || p != pts[id] {
+			t.Fatalf("centre %v r %v: Position(%d) = %v %v, want %v", centre, radius, id, p, ok, pts[id])
 		}
 	}
 }
 
-// Property: under random Update/Remove histories, WithinRangeHits is
-// strictly ascending in ID and set-equal to a brute-force scan — the
-// ordering contract the PHY relies on instead of sorting.
+// Property: under random Update/Remove histories, the bitset MarkWithinRange
+// fills, read lowest bit first, is the brute-force answer in ascending ID —
+// the ordering contract the PHY relies on instead of sorting.
 func TestGridHitsAscendingMatchBruteForce(t *testing.T) {
-	// IDs straddling the 64-bit word boundaries of the hit bitset.
+	// IDs straddling the 64-bit word boundaries of the bitset.
 	boundary := []int32{0, 1, 62, 63, 64, 65, 126, 127, 128, 129, 191, 192}
 	pick := func(rng *rand.Rand, maxID int) int32 {
 		if rng.Intn(2) == 0 {

@@ -197,7 +197,20 @@ func New(id packet.NodeID, sched *sim.Scheduler, ch *phy.Channel, cfg Config, up
 
 // BindRadio attaches the radio this MAC transmits and receives through.
 // Must be called exactly once before the simulation starts.
-func (m *Mac) BindRadio(r *phy.Radio) { m.radio = r }
+func (m *Mac) BindRadio(r *phy.Radio) {
+	m.radio = r
+	r.SubscribeEnergy(m.state == stContend)
+}
+
+// setState moves the job state machine. EnergyUp and EnergyDown act only
+// in stContend, so the radio is subscribed to energy edges exactly while
+// the MAC contends, and the PHY skips this radio's edges otherwise.
+func (m *Mac) setState(s jobState) {
+	if (s == stContend) != (m.state == stContend) {
+		m.radio.SubscribeEnergy(s == stContend)
+	}
+	m.state = s
+}
 
 // SetArena binds the run's packet arena. Must be set (if at all) before
 // any traffic; the node wires it for scenario-built stacks.
@@ -254,12 +267,12 @@ func (m *Mac) Run(arg int) {
 		m.onAckTimeout()
 	case macTxDoneRTS:
 		m.releaseJobFrame(m.cur)
-		m.state = stWaitCTS
+		m.setState(stWaitCTS)
 		timeout := m.cfg.SIFS + m.ctsAirtime() + 2*maxPropSlack + m.cfg.SlotTime
 		m.timeoutEvent = m.sched.AfterTaskCancellable(timeout, m, macCTSTimeout)
 	case macTxDoneData:
 		m.releaseJobFrame(m.cur)
-		m.state = stWaitAck
+		m.setState(stWaitAck)
 		timeout := m.cfg.SIFS + m.ackAirtime() + 2*maxPropSlack + m.cfg.SlotTime
 		m.timeoutEvent = m.sched.AfterTaskCancellable(timeout, m, macAckTimeout)
 	case macTxDoneBroadcast:

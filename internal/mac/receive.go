@@ -5,7 +5,10 @@ import (
 	"mtsim/internal/sim"
 )
 
-// EnergyUp implements phy.Listener: the medium became busy.
+// EnergyUp implements phy.Listener: the medium became busy. It acts only
+// in stContend, as does EnergyDown (outside stContend reconsider is a no-op
+// because stIdle implies an empty queue); setState relies on this to
+// subscribe the radio to edges only while contending.
 func (m *Mac) EnergyUp() {
 	if m.state == stContend {
 		m.pauseContention()
@@ -89,7 +92,7 @@ func (m *Mac) handleCTS(f *packet.Frame) {
 		m.sched.CancelTask(m.timeoutEvent)
 		m.timeoutEvent = sim.TaskHandle{}
 	}
-	m.state = stTxData // committed; a duplicate CTS must not re-trigger
+	m.setState(stTxData) // committed; a duplicate CTS must not re-trigger
 	m.sendDataAfterCTS()
 }
 

@@ -158,7 +158,7 @@ type RunMetrics struct {
 	AdversaryK        int
 	CoalitionDistinct uint64 // union Pe over all vantage points
 	CoalitionFrames   uint64 // total overheard data frames, dups included
-	AdversaryDropped uint64 // data packets discarded by dropping relays
+	AdversaryDropped  uint64 // data packets discarded by dropping relays
 	// AdversaryAttracted counts data frames addressed TO a compromised
 	// vantage point (first transmission attempts, no retries) — the traffic
 	// a wormhole or rushing attacker pulled onto itself by winning route

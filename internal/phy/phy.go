@@ -25,17 +25,35 @@
 //
 // # Arrival batching
 //
-// Transmit resolves its audience once and records every receiver's view —
-// decodability and the forced-corruption verdict — in a pooled per-
-// transmission arrival batch. Two scheduler events per transmission (one
-// batched first-bit, one batched last-bit) then walk the batch in radio-ID
-// order, so the scheduler's heap sees ~k× fewer inserts than the one-
-// event-pair-per-receiver scheme this replaces. The reference mode behind
-// UseUnbatchedArrivals schedules the historical 2·k individual events over
-// the same precomputed batch; because all first-bit events share one
-// timestamp and consecutive insertion sequences (and likewise the
-// last-bit events), the two modes dispatch in exactly the same order and
-// are byte-identical — that equivalence is what the property tests pin.
+// Transmit resolves its audience once and records it in a pooled per-
+// transmission arrival batch as three bitsets over radio indices: the
+// radios in carrier-sense range, the decodable ones, and the decodable
+// ones whose delivery DropFrame force-corrupts. Two scheduler events per
+// transmission (one batched first-bit, one batched last-bit) then walk the
+// batch in radio-ID order, so the scheduler's heap sees ~k× fewer inserts
+// than the one-event-pair-per-receiver scheme this replaces.
+//
+// The walks visit only the radios that act on the frame: the decodable
+// ones, and those whose listener is subscribed to energy edges
+// (Radio.SubscribeEnergy). Listeners attach subscribed; the MAC subscribes
+// only while it contends for the medium, the only state in which its
+// EnergyUp and EnergyDown do anything, so the walks skip the sense-only
+// majority of an audience. A subscribed radio keeps an exact energy
+// counter, seeded from the in-flight batches when it subscribes; Busy of
+// an unsubscribed radio counts the in-flight batches instead. Each walk
+// records the radio it is visiting and re-reads the subscription mask
+// after every callback, so a listener (un)subscribed mid-walk sees the
+// same counts and edges as under per-radio counters, and callback order,
+// sequence numbers and timing match a walk over the whole audience.
+//
+// The reference mode behind UseUnbatchedArrivals schedules the historical
+// 2·k individual events, one pair per carrier-sensing radio, keeps every
+// radio's energy counter and delivers every edge whether subscribed or
+// not. Because all first-bit events share one timestamp and consecutive
+// insertion sequences (and likewise the last-bit events), the two modes
+// dispatch in the same order; they are observably identical as long as a
+// listener ignores the edges it has not subscribed to, and that
+// equivalence is what the property tests pin.
 //
 // # Receiver lookup
 //
@@ -45,16 +63,21 @@
 // grid holds a position snapshot per radio; snapshots of moving radios are
 // refreshed lazily on a coarse epoch chosen so that the possible drift
 // since the last refresh stays below a slack margin, and every query is
-// inflated by that margin. Candidates returned by the grid are then
-// distance-checked against their exact current positions, so the delivered
-// receiver set is bit-for-bit identical to a full scan (the linear
-// reference path is kept, behind UseLinearScan, for equivalence tests).
+// inflated by that margin. The grid marks the candidates in a bitset, and
+// one pass in ascending radio ID distance-checks them against their exact
+// current positions, so the delivered receiver set and its order are
+// bit-for-bit those of a full scan (the linear reference path is kept,
+// behind UseLinearScan, for equivalence tests). A mover attached with
+// AttachLegs caches its current waypoint leg, so its exact position is an
+// interpolation rather than a call into the mobility model.
 package phy
 
 import (
 	"math"
+	"math/bits"
 
 	"mtsim/internal/geo"
+	"mtsim/internal/mobility"
 	"mtsim/internal/packet"
 	"mtsim/internal/sim"
 )
@@ -72,28 +95,45 @@ type Listener interface {
 	RxEnd(f *packet.Frame, ok bool)
 }
 
+// LegSource is a trajectory handed out leg by leg (a mobility.Model).
+// LegAt returns the leg in force at t and is called with non-decreasing
+// times.
+type LegSource interface {
+	LegAt(t sim.Time) mobility.Leg
+}
+
 // Radio is one node's attachment to the channel.
 type Radio struct {
 	ID  packet.NodeID
-	pos func(sim.Time) geo.Point
 	lis Listener
 	ch  *Channel
-	idx int32 // index in ch.radios; doubles as the spatial-grid id
+	idx int32 // index in ch.radios; doubles as the spatial-grid id and bit index
 
 	// maxSpeed bounds how fast the radio can move (m/s); it controls how
 	// stale the radio's grid snapshot may become. +Inf means unknown
 	// (raw Attach), which forces exact per-transmit snapshot refresh.
 	maxSpeed float64
 
-	// Position memo: pos(t) is pure in t for a fixed trajectory, and many
-	// queries land on the same timestamp (every receiver check of one
-	// transmission), so one evaluation per (radio, time) suffices.
+	// legs, when set (AttachLegs), supplies the trajectory piecewise: leg
+	// is the stretch in force, reused until leg.Until, so an exact position
+	// costs an interpolation instead of a model call. The zero leg has
+	// already expired, which makes the first query fetch one.
+	legs LegSource
+	leg  mobility.Leg
+
+	// Otherwise pos gives the position (Attach). It is pure in t, and many
+	// queries land on the same timestamp, so it is memoised per timestamp.
+	pos      func(sim.Time) geo.Point
 	posKnown bool
 	posTime  sim.Time
 	posCache geo.Point
 
 	transmitting bool
-	energy       int // count of in-CS-range transmissions currently on air
+	// energy counts the in-CS-range transmissions currently on air. It is
+	// exact while the radio is subscribed to energy edges (and always under
+	// UseUnbatchedArrivals); otherwise it is stale and Busy counts the
+	// in-flight batches instead.
+	energy int
 
 	// current decode in progress (nil if none)
 	rx *reception
@@ -109,8 +149,14 @@ type reception struct {
 	collided bool
 }
 
-// positionAt returns the radio's position at t, memoised per timestamp.
+// positionAt returns the radio's exact position at t.
 func (r *Radio) positionAt(t sim.Time) geo.Point {
+	if r.legs != nil {
+		if t >= r.leg.Until {
+			r.leg = r.legs.LegAt(t)
+		}
+		return r.leg.At(t)
+	}
 	if !r.posKnown || r.posTime != t {
 		r.posCache = r.pos(t)
 		r.posTime = t
@@ -149,38 +195,117 @@ const radioTxDone = 0
 
 // Task args for the batched arrival events. Args ≥ unbatchedArgBase encode
 // a per-receiver event for the UseUnbatchedArrivals reference mode:
-// arg = unbatchedArgBase + 2*index + phase (phase 0 first bit, 1 last bit).
+// arg = unbatchedArgBase + 2*radio index + phase (phase 0 first bit, 1 last
+// bit).
 const (
 	batchStartArg    = 0
 	batchEndArg      = 1
 	unbatchedArgBase = 2
 )
 
-// batchRx is one receiver's precomputed view inside an arrivalBatch: the
-// radio, whether the frame is decodable at its position, and the DropFrame
-// verdict. All of it is fixed at transmit time — range is evaluated when
-// the first bit leaves the antenna, matching the model note above.
-type batchRx struct {
-	rcv       *Radio
-	decodable bool
-	drop      bool
+// bitset is a set of radio indices, one bit each.
+type bitset []uint64
+
+func (s bitset) has(id int32) bool { return s[id>>6]&(1<<(id&63)) != 0 }
+func (s bitset) set(id int32)      { s[id>>6] |= 1 << (id & 63) }
+
+// Where a batched transmission stands. Busy and SubscribeEnergy read it to
+// count the batch for a radio exactly as the walk would have counted it.
+const (
+	phaseSent     = iota // first bit still propagating: counted by nobody
+	phaseStarting        // first-bit walk at cursor: counted by ids <= cursor
+	phaseOnAir           // between the walks: counted by the whole audience
+	phaseEnding          // last-bit walk at cursor: counted by ids > cursor
+)
+
+// arrivalBatch carries one transmission's whole audience as bitsets over
+// radio indices, all fixed at transmit time — range is evaluated when the
+// first bit leaves the antenna, matching the model note above: cs holds
+// every radio in carrier-sense range, dec the decodable ones, drop the
+// decodable ones DropFrame force-corrupts. It is the Task behind both
+// delivery modes: batched (two events walk the bitsets in ID order) and
+// unbatched reference (2·n events, one pair per cs radio). A batch stays on
+// the channel's in-flight list from Transmit until its last-bit delivery
+// has run — or until Reset/Retire drains it — and then parks on the free
+// list with its bitset storage kept. Batches reference the frame but never
+// own it; frame release stays with the MAC's quarantine (the batch's own
+// lifetime is bounded by MaxPropDelay + airtime, inside the quarantine
+// hold).
+type arrivalBatch struct {
+	ch            *Channel
+	frame         *packet.Frame
+	words         []uint64 // backing store of cs, dec and drop
+	cs, dec, drop bitset
+	n             int   // radios in cs
+	phase         int   // phaseSent..phaseEnding (batched mode)
+	cursor        int32 // radio the current walk is visiting
+	live          int   // outstanding last-bit events (1 batched, n unbatched)
+	idx           int   // position in ch.inflight (swap-remove bookkeeping)
 }
 
-// arrivalBatch carries one transmission's whole audience. It is the Task
-// behind both delivery modes: batched (two events walk rx in order) and
-// unbatched reference (2·len(rx) events index into rx one receiver at a
-// time). A batch stays on the channel's in-flight list from Transmit until
-// its last-bit delivery has run — or until Reset/Retire drains it — and
-// then parks on the free list with its receiver slice's capacity kept.
-// Batches reference the frame but never own it; frame release stays with
-// the MAC's quarantine (the batch's own lifetime is bounded by
-// MaxPropDelay + airtime, inside the quarantine hold).
-type arrivalBatch struct {
-	ch    *Channel
-	frame *packet.Frame
-	rx    []batchRx
-	live  int // outstanding last-bit events (1 batched, len(rx) unbatched)
-	idx   int // position in ch.inflight (swap-remove bookkeeping)
+// walk delivers the first bit (or, in phaseEnding, the last bit) to the
+// radios the frame acts on — decodable, or subscribed to energy edges — in
+// ascending radio index. It re-reads the subscription mask after every
+// callback, so a listener (un)subscribed by a callback earlier in the walk
+// is picked up (or skipped) from then on, and after RxEnd, so a listener
+// that subscribed inside it, seeded without this batch, still sees the
+// falling edge.
+func (b *arrivalBatch) walk() {
+	ch, cs, dec, drop := b.ch, b.cs, b.dec, b.drop
+	for w := range cs {
+		var seen uint64 // bits of word w up to the last one visited
+		for {
+			subs := ch.subs[w]
+			word := (dec[w] | cs[w]&subs) &^ seen
+			if word == 0 {
+				break
+			}
+			bit := bits.TrailingZeros64(word)
+			m := uint64(1) << bit
+			seen = m<<1 - 1
+			b.cursor = int32(w<<6 + bit)
+			rcv := ch.radios[b.cursor]
+			if b.phase == phaseEnding {
+				if subs&m != 0 {
+					rcv.energy--
+				}
+				if dec[w]&m != 0 {
+					ch.endDecode(rcv, b.frame)
+				}
+				if ch.subs[w]&m != 0 && rcv.energy == 0 && rcv.lis != nil {
+					rcv.lis.EnergyDown()
+				}
+				continue
+			}
+			if subs&m != 0 {
+				rcv.energy++
+				if rcv.energy == 1 && rcv.lis != nil {
+					rcv.lis.EnergyUp()
+				}
+			}
+			if dec[w]&m != 0 {
+				ch.beginDecode(rcv, b.frame, drop[w]&m != 0)
+			}
+		}
+	}
+}
+
+// counts reports whether the batch currently adds to radio id's energy:
+// the id is in carrier-sense range and the first-bit walk has reached it
+// while the last-bit walk has not.
+func (b *arrivalBatch) counts(id int32) bool {
+	if int(id>>6) >= len(b.cs) || !b.cs.has(id) {
+		return false
+	}
+	switch b.phase {
+	case phaseStarting:
+		return id <= b.cursor
+	case phaseOnAir:
+		return true
+	case phaseEnding:
+		return id > b.cursor
+	}
+	return false
 }
 
 // Run implements sim.Task.
@@ -188,24 +313,21 @@ func (b *arrivalBatch) Run(arg int) {
 	ch := b.ch
 	switch arg {
 	case batchStartArg:
-		for i := range b.rx {
-			e := &b.rx[i]
-			ch.arriveStart(e.rcv, b.frame, e.decodable, e.drop)
-		}
+		b.phase = phaseStarting
+		b.walk()
+		b.phase = phaseOnAir
 	case batchEndArg:
-		for i := range b.rx {
-			e := &b.rx[i]
-			ch.arriveEnd(e.rcv, b.frame, e.decodable)
-		}
+		b.phase = phaseEnding
+		b.walk()
 		ch.parkBatch(b)
 	default:
-		i, phase := (arg-unbatchedArgBase)/2, (arg-unbatchedArgBase)%2
-		e := &b.rx[i]
+		id, phase := int32(arg-unbatchedArgBase)/2, (arg-unbatchedArgBase)%2
+		rcv := ch.radios[id]
 		if phase == 0 {
-			ch.arriveStart(e.rcv, b.frame, e.decodable, e.drop)
+			ch.arriveStart(rcv, b.frame, b.dec.has(id), b.drop.has(id))
 			return
 		}
-		ch.arriveEnd(e.rcv, b.frame, e.decodable)
+		ch.arriveEnd(rcv, b.frame, b.dec.has(id))
 		b.live--
 		if b.live == 0 {
 			ch.parkBatch(b)
@@ -230,7 +352,7 @@ type Channel struct {
 	// Spatial index over radio position snapshots.
 	grid        *geo.Grid
 	spareGrid   *geo.Grid // previous run's grid, reusable by EnableGrid
-	hits        []geo.Hit // reusable WithinRangeHits buffer
+	cand        []uint64  // grid candidates of one Transmit; all-zero between calls
 	spare       []*Radio  // recycled Radio structs (Reset → Attach)
 	movers      []*Radio  // radios whose snapshots go stale (maxSpeed > 0)
 	policyDirty bool      // movers/epoch need recomputation
@@ -244,11 +366,16 @@ type Channel struct {
 	// reference implementation the grid path must match bit-for-bit.
 	linear bool
 	// unbatched switches delivery to 2·k individual arrival events over
-	// the same precomputed batch — the reference for the batched path.
+	// the same precomputed batch, with every radio's energy counter kept
+	// and every edge delivered — the reference for the batched path.
 	unbatched bool
 
+	// subs has bit i set while radio i's listener is subscribed to energy
+	// edges; the batched walks visit sense-only radios only if it is set.
+	subs bitset
+
 	inflight  []*arrivalBatch     // batches with deliveries still scheduled
-	batchFree []*arrivalBatch     // parked batches (receiver slices kept)
+	batchFree []*arrivalBatch     // parked batches (bitset storage kept)
 	recPool   sim.Pool[reception] // recycled receptions (decode state)
 }
 
@@ -276,9 +403,9 @@ func NewChannel(sched *sim.Scheduler, rxRange, csRange float64) *Channel {
 // Reset detaches every radio and restores the channel to its
 // NewChannel(sched, rxRange, csRange) state while keeping the expensive
 // reusable storage: the spatial grid (reused when the next EnableGrid asks
-// for the same geometry), the receiver scratch buffer, the arrival-batch
-// and reception pools, and the Radio structs themselves (recycled through
-// the next Attach calls). Arrival batches still in flight are drained
+// for the same geometry), the candidate and subscription bitsets, the
+// arrival-batch and reception pools, and the Radio structs themselves
+// (recycled through the next Attach calls). Arrival batches still in flight are drained
 // first — their scheduled events must never fire again (the caller resets
 // the scheduler alongside, as scenario.Context does), and draining drops
 // the frame references so no retired frame stays reachable through the
@@ -305,6 +432,8 @@ func (c *Channel) Reset(rxRange, csRange float64) {
 		c.radios[i] = nil
 	}
 	c.radios = c.radios[:0]
+	c.subs = c.subs[:0]
+	c.cand = c.cand[:0]
 	for i := range c.movers {
 		c.movers[i] = nil
 	}
@@ -333,7 +462,10 @@ func (c *Channel) drainBatches() {
 	}
 }
 
-// getBatch takes a parked batch (or allocates one) and tracks it in flight.
+// getBatch takes a parked batch (or allocates one), sizes its bitsets to
+// the attached radios, and tracks it in flight. A pooled batch reallocates
+// only when the radio count outgrows its storage, so a reused channel sizes
+// each batch once.
 func (c *Channel) getBatch() *arrivalBatch {
 	var b *arrivalBatch
 	if n := len(c.batchFree); n > 0 {
@@ -343,6 +475,13 @@ func (c *Channel) getBatch() *arrivalBatch {
 	} else {
 		b = &arrivalBatch{}
 	}
+	if n := len(c.subs); len(b.cs) != n {
+		if cap(b.words) < 3*n {
+			b.words = make([]uint64, 3*n)
+		}
+		b.words = b.words[:3*n]
+		b.cs, b.dec, b.drop = b.words[:n:n], b.words[n:2*n:2*n], b.words[2*n:]
+	}
 	b.ch = c
 	b.idx = len(c.inflight)
 	c.inflight = append(c.inflight, b)
@@ -350,8 +489,8 @@ func (c *Channel) getBatch() *arrivalBatch {
 }
 
 // parkBatch removes a batch from the in-flight list (swap-remove), clears
-// its frame and receiver references, and returns it to the free list with
-// the receiver slice's capacity intact.
+// its frame reference and bitsets, and returns it to the free list with the
+// bitset storage intact.
 func (c *Channel) parkBatch(b *arrivalBatch) {
 	last := len(c.inflight) - 1
 	c.inflight[b.idx] = c.inflight[last]
@@ -360,10 +499,9 @@ func (c *Channel) parkBatch(b *arrivalBatch) {
 	c.inflight = c.inflight[:last]
 	b.frame = nil
 	b.live = 0
-	for i := range b.rx {
-		b.rx[i] = batchRx{}
-	}
-	b.rx = b.rx[:0]
+	b.n = 0
+	b.phase = phaseSent
+	clear(b.words)
 	c.batchFree = append(c.batchFree, b)
 }
 
@@ -407,18 +545,31 @@ func (c *Channel) EnableGrid(bounds geo.Rect, cellSize float64) {
 func (c *Channel) UseLinearScan(on bool) { c.linear = on }
 
 // UseUnbatchedArrivals switches delivery between the batched scheme
-// (default: two scheduler events walk the whole arrival batch) and the
-// reference scheme that schedules an individual first-bit and last-bit
-// event per receiver over the same precomputed batch. The two are
-// byte-identical — same timestamps, same dispatch order — and the
-// unbatched path exists, like UseLinearScan, purely as the reference for
-// equivalence tests.
+// (default: two scheduler events walk the decodable and subscribed radios
+// of the arrival batch) and the reference scheme that schedules an
+// individual first-bit and last-bit event per carrier-sensing receiver,
+// keeps every radio's energy counter and delivers every energy edge
+// whether subscribed or not. Switch before the run. The two are
+// observably identical as long as listeners ignore the edges they have
+// not subscribed to; the unbatched path exists, like UseLinearScan, purely
+// as the reference for equivalence tests.
 func (c *Channel) UseUnbatchedArrivals(on bool) { c.unbatched = on }
 
 // Attach registers a radio for a node whose position over time is given by
-// pos. The listener (the node's MAC) must be set before any transmission
-// can reach the radio.
+// pos, which must give the same point whenever asked for the same time.
+// The listener (the node's MAC) must be set before any transmission can
+// reach the radio; it starts subscribed to energy edges.
 func (c *Channel) Attach(id packet.NodeID, pos func(sim.Time) geo.Point, lis Listener) *Radio {
+	return c.attach(id, pos, nil, lis)
+}
+
+// AttachLegs is Attach for a piecewise-linear trajectory: the radio caches
+// the leg in force and calls back into legs only when that leg expires.
+func (c *Channel) AttachLegs(id packet.NodeID, legs LegSource, lis Listener) *Radio {
+	return c.attach(id, nil, legs, lis)
+}
+
+func (c *Channel) attach(id packet.NodeID, pos func(sim.Time) geo.Point, legs LegSource, lis Listener) *Radio {
 	var r *Radio
 	if n := len(c.spare); n > 0 {
 		r = c.spare[n-1]
@@ -429,6 +580,7 @@ func (c *Channel) Attach(id packet.NodeID, pos func(sim.Time) geo.Point, lis Lis
 	}
 	*r = Radio{
 		ID:       id,
+		legs:     legs,
 		pos:      pos,
 		lis:      lis,
 		ch:       c,
@@ -436,6 +588,11 @@ func (c *Channel) Attach(id packet.NodeID, pos func(sim.Time) geo.Point, lis Lis
 		maxSpeed: math.Inf(1),
 	}
 	c.radios = append(c.radios, r)
+	for len(c.subs)*64 < len(c.radios) {
+		c.subs = append(c.subs, 0)
+		c.cand = append(c.cand, 0)
+	}
+	c.subs.set(r.idx)
 	if c.grid != nil {
 		c.grid.Update(r.idx, r.positionAt(c.sched.Now()))
 	}
@@ -451,7 +608,49 @@ func (c *Channel) PositionOf(r *Radio) geo.Point { return r.positionAt(c.sched.N
 
 // Busy reports whether the radio currently senses energy or is transmitting;
 // exposed for the MAC's carrier-sense checks.
-func (r *Radio) Busy() bool { return r.energy > 0 || r.transmitting }
+func (r *Radio) Busy() bool {
+	if r.transmitting {
+		return true
+	}
+	c := r.ch
+	if c.unbatched || c.subs.has(r.idx) {
+		return r.energy > 0
+	}
+	return c.sensing(r.idx) > 0
+}
+
+// SubscribeEnergy turns the listener's EnergyUp and EnergyDown calls on or
+// off. Radios attach subscribed; a listener that acts on the edges only in
+// some states (the MAC, while contending) subscribes just for those, which
+// spares the batched walks every sense-only radio that would ignore them.
+// Subscribing seeds the radio's energy counter from the transmissions in
+// flight, so the edges that follow are exactly those of a counter kept all
+// along. Busy is exact either way.
+func (r *Radio) SubscribeEnergy(on bool) {
+	c := r.ch
+	if on == c.subs.has(r.idx) {
+		return
+	}
+	if !on {
+		c.subs[r.idx>>6] &^= 1 << (r.idx & 63)
+		return
+	}
+	c.subs.set(r.idx)
+	if !c.unbatched {
+		r.energy = c.sensing(r.idx)
+	}
+}
+
+// sensing counts the in-flight transmissions radio id currently senses.
+func (c *Channel) sensing(id int32) int {
+	n := 0
+	for _, b := range c.inflight {
+		if b.counts(id) {
+			n++
+		}
+	}
+	return n
+}
 
 // Transmitting reports whether the radio is currently sending.
 func (r *Radio) Transmitting() bool { return r.transmitting }
@@ -537,7 +736,6 @@ func (c *Channel) Transmit(tx *Radio, f *packet.Frame, airtime sim.Duration) {
 	txPos := tx.positionAt(now)
 	cs2 := c.CSRange * c.CSRange
 	rx2 := c.RxRange * c.RxRange
-
 	b := c.getBatch()
 	b.frame = f
 	maxD2 := 0.0
@@ -547,7 +745,7 @@ func (c *Channel) Transmit(tx *Radio, f *packet.Frame, airtime sim.Duration) {
 			if rcv == tx {
 				continue
 			}
-			maxD2 = c.appendRx(b, rcv, rcv.positionAt(now), txPos, f, cs2, rx2, maxD2)
+			maxD2 = c.hear(b, rcv, rcv.positionAt(now), txPos, cs2, rx2, maxD2)
 		}
 	} else {
 		if c.grid == nil {
@@ -563,29 +761,38 @@ func (c *Channel) Transmit(tx *Radio, f *packet.Frame, airtime sim.Duration) {
 			}
 		}
 		// Candidate order must match the linear scan (= attach order): the
-		// scheduler breaks timestamp ties by insertion sequence, and the
-		// batch delivers in fill order, so the order receivers enter the
-		// batch is observable. Grid ids are radio indices, so the grid's
-		// ascending-id hits already come in attach order.
-		c.hits = c.grid.WithinRangeHits(txPos, c.CSRange+c.slack, c.hits[:0])
-		for _, h := range c.hits {
-			rcv := c.radios[h.ID]
-			if rcv == tx {
+		// scheduler breaks timestamp ties by insertion sequence, and
+		// DropFrame sees receivers in fill order, so the order receivers
+		// are heard in is observable. Grid ids are radio indices, so
+		// reading the candidate bitset lowest bit first is attach order.
+		c.grid.MarkWithinRange(txPos, c.CSRange+c.slack, c.cand)
+		for w, word := range c.cand {
+			if word == 0 {
 				continue
 			}
-			p := h.P
-			if rcv.maxSpeed != 0 {
-				// The snapshot may lag a mover by up to the slack margin;
-				// re-check against the exact current position. Stationary
-				// radios' snapshots are exact, so the grid pass already
-				// produced their position (the batch-fill payoff).
-				p = rcv.positionAt(now)
+			c.cand[w] = 0
+			for word != 0 {
+				id := int32(w<<6 + bits.TrailingZeros64(word))
+				word &= word - 1
+				rcv := c.radios[id]
+				if rcv == tx {
+					continue
+				}
+				// The snapshot may lag a mover by up to the slack margin, so
+				// movers are re-checked at their exact current position.
+				// Stationary radios' snapshots are exact.
+				var p geo.Point
+				if rcv.maxSpeed == 0 {
+					p, _ = c.grid.Position(id)
+				} else {
+					p = rcv.positionAt(now)
+				}
+				maxD2 = c.hear(b, rcv, p, txPos, cs2, rx2, maxD2)
 			}
-			maxD2 = c.appendRx(b, rcv, p, txPos, f, cs2, rx2, maxD2)
 		}
 	}
 
-	if len(b.rx) == 0 {
+	if b.n == 0 {
 		c.parkBatch(b) // empty neighbourhood: no events at all
 	} else {
 		prop := sim.Duration(0)
@@ -593,10 +800,14 @@ func (c *Channel) Transmit(tx *Radio, f *packet.Frame, airtime sim.Duration) {
 			prop = sim.Seconds(math.Sqrt(maxD2) / c.PropSpeed)
 		}
 		if c.unbatched {
-			b.live = len(b.rx)
-			for i := range b.rx {
-				c.sched.AfterTask(prop, b, unbatchedArgBase+2*i)
-				c.sched.AfterTask(prop+airtime, b, unbatchedArgBase+2*i+1)
+			b.live = b.n
+			for w, word := range b.cs {
+				for word != 0 {
+					id := w<<6 + bits.TrailingZeros64(word)
+					word &= word - 1
+					c.sched.AfterTask(prop, b, unbatchedArgBase+2*id)
+					c.sched.AfterTask(prop+airtime, b, unbatchedArgBase+2*id+1)
+				}
 			}
 		} else {
 			b.live = 1
@@ -608,33 +819,56 @@ func (c *Channel) Transmit(tx *Radio, f *packet.Frame, airtime sim.Duration) {
 	c.sched.AfterTask(airtime, tx, radioTxDone)
 }
 
-// appendRx distance-checks one candidate receiver at position p against
-// the transmitter's exact position and, if in carrier-sense range, appends
-// its precomputed view to the batch. Returns the running maximum squared
-// distance over all in-CS receivers — the batch's common propagation
-// distance.
-func (c *Channel) appendRx(b *arrivalBatch, rcv *Radio, p, txPos geo.Point, f *packet.Frame, cs2, rx2, maxD2 float64) float64 {
+// hear distance-checks one candidate receiver at position p against the
+// transmitter's exact position and, if it is in carrier-sense range, enters
+// it in the batch's bitsets, consulting DropFrame if it can decode. Returns
+// the running maximum squared distance over all in-CS receivers — the
+// batch's common propagation distance.
+func (c *Channel) hear(b *arrivalBatch, rcv *Radio, p, txPos geo.Point, cs2, rx2, maxD2 float64) float64 {
 	d2 := p.DistanceSqTo(txPos)
 	if d2 > cs2 {
 		return maxD2
 	}
-	decodable := d2 <= rx2
-	b.rx = append(b.rx, batchRx{
-		rcv:       rcv,
-		decodable: decodable,
-		drop:      decodable && c.DropFrame != nil && c.DropFrame(f, rcv.ID),
-	})
-	return math.Max(maxD2, d2)
+	b.cs.set(rcv.idx)
+	b.n++
+	if d2 <= rx2 {
+		b.dec.set(rcv.idx)
+		if c.DropFrame != nil && c.DropFrame(b.frame, rcv.ID) {
+			b.drop.set(rcv.idx)
+		}
+	}
+	if d2 > maxD2 {
+		maxD2 = d2
+	}
+	return maxD2
 }
 
+// arriveStart is the reference (unbatched) first-bit delivery: the energy
+// counter and edge regardless of subscription, then the decode start.
 func (c *Channel) arriveStart(rcv *Radio, f *packet.Frame, decodable, drop bool) {
 	rcv.energy++
 	if rcv.energy == 1 && rcv.lis != nil {
 		rcv.lis.EnergyUp()
 	}
-	if !decodable {
-		return
+	if decodable {
+		c.beginDecode(rcv, f, drop)
 	}
+}
+
+// arriveEnd is the reference (unbatched) last-bit delivery.
+func (c *Channel) arriveEnd(rcv *Radio, f *packet.Frame, decodable bool) {
+	rcv.energy--
+	if decodable {
+		c.endDecode(rcv, f)
+	}
+	if rcv.energy == 0 && rcv.lis != nil {
+		rcv.lis.EnergyDown()
+	}
+}
+
+// beginDecode starts decoding f at rcv unless it is sending (half duplex)
+// or already decoding, in which case both frames are lost.
+func (c *Channel) beginDecode(rcv *Radio, f *packet.Frame, drop bool) {
 	if rcv.transmitting {
 		return // half duplex: cannot begin decode while sending
 	}
@@ -650,24 +884,23 @@ func (c *Channel) arriveStart(rcv *Radio, f *packet.Frame, decodable, drop bool)
 	rcv.rx = rx
 }
 
-func (c *Channel) arriveEnd(rcv *Radio, f *packet.Frame, decodable bool) {
-	rcv.energy--
-	if decodable && rcv.rx != nil && rcv.rx.frame == f {
-		rx := rcv.rx
-		rcv.rx = nil
-		ok := !rx.collided
-		c.recPool.Put(rx)
-		if ok {
-			rcv.FramesDecoded++
-		} else {
-			rcv.FramesCollided++
-		}
-		if rcv.lis != nil {
-			rcv.lis.RxEnd(f, ok)
-		}
+// endDecode completes rcv's decode of f, if it is the frame being decoded,
+// and hands it to the listener.
+func (c *Channel) endDecode(rcv *Radio, f *packet.Frame) {
+	if rcv.rx == nil || rcv.rx.frame != f {
+		return
 	}
-	if rcv.energy == 0 && rcv.lis != nil {
-		rcv.lis.EnergyDown()
+	rx := rcv.rx
+	rcv.rx = nil
+	ok := !rx.collided
+	c.recPool.Put(rx)
+	if ok {
+		rcv.FramesDecoded++
+	} else {
+		rcv.FramesCollided++
+	}
+	if rcv.lis != nil {
+		rcv.lis.RxEnd(f, ok)
 	}
 }
 

@@ -1,7 +1,9 @@
 package phy
 
 import (
+	"fmt"
 	"slices"
+	"strings"
 	"testing"
 
 	"mtsim/internal/geo"
@@ -433,5 +435,126 @@ func TestGridDeliversInAttachOrder(t *testing.T) {
 	}
 	if !slices.Equal(grid, linear) {
 		t.Fatalf("grid and linear delivery orders differ:\ngrid   %v\nlinear %v", grid, linear)
+	}
+}
+
+// subListener logs, for one radio, the energy edges it sees while it is
+// subscribed and every frame it decodes, each with the radio's Busy()
+// reading; onUp and onRx let a test script subscription changes from
+// inside the first EnergyUp and the first RxEnd.
+type subListener struct {
+	id         int
+	r          *Radio
+	sub        bool
+	s          *sim.Scheduler
+	log        *[]string
+	onUp, onRx func()
+}
+
+func (l *subListener) note(what string) {
+	*l.log = append(*l.log, fmt.Sprintf("%d %s r%d busy=%v", l.s.Now(), what, l.id, l.r.Busy()))
+}
+
+func (l *subListener) subscribe(on bool) {
+	l.sub = on
+	l.r.SubscribeEnergy(on)
+}
+
+func (l *subListener) EnergyUp() {
+	if l.sub {
+		l.note("up")
+		if l.onUp != nil {
+			l.onUp()
+			l.onUp = nil
+		}
+	}
+}
+
+func (l *subListener) EnergyDown() {
+	if l.sub {
+		l.note("down")
+	}
+}
+
+func (l *subListener) RxEnd(*packet.Frame, bool) {
+	l.note("rx")
+	if l.onRx != nil {
+		l.onRx()
+		l.onRx = nil
+	}
+}
+
+// A listener that subscribes inside RxEnd, in the middle of a last-bit
+// walk, must see the same Busy() readings and the same edges as with the
+// per-radio counters of the unbatched reference, which keeps every
+// counter and delivers every edge (the listener drops those it has not
+// subscribed to). The same holds for subscriptions made inside EnergyUp,
+// in the middle of a first-bit walk. Radios 0 and 5 transmit overlapping
+// frames. Inside radio 3's EnergyUp for the first frame, radios 2 (already
+// walked) and 4 (not yet walked) subscribe. Inside radio 7's RxEnd for
+// that frame, radio 7 subscribes itself, radio 1 (already walked) and
+// radio 8 (not yet walked, still sensing the second frame) subscribe, and
+// radio 3 unsubscribes. Busy() of every radio, subscribed or not, is
+// sampled throughout.
+func TestSubscribeInsideLastBitWalkMatchesCounters(t *testing.T) {
+	run := func(unbatched bool) []string {
+		s := sim.NewScheduler()
+		c := NewChannel(s, 250, 550)
+		c.UseUnbatchedArrivals(unbatched)
+		var log []string
+		xs := []float64{0, 100, 150, 300, 500, 900, 700, 200, 520}
+		ls := make([]*subListener, len(xs))
+		for i, x := range xs {
+			ls[i] = &subListener{id: i, s: s, log: &log}
+			ls[i].r = c.Attach(packet.NodeID(i), fixed(x, 0), ls[i])
+			ls[i].subscribe(i == 3 || i == 5)
+		}
+		ls[3].onUp = func() {
+			ls[2].subscribe(true)
+			ls[4].subscribe(true)
+		}
+		ls[7].onRx = func() {
+			ls[7].subscribe(true)
+			ls[1].subscribe(true)
+			ls[8].subscribe(true)
+			ls[3].subscribe(false)
+		}
+		send := func(at sim.Duration, tx int) {
+			s.At(sim.Time(at), func() {
+				c.Transmit(ls[tx].r, testFrame(packet.NodeID(tx), packet.Broadcast), sim.Millisecond)
+			})
+		}
+		send(0, 0)
+		send(500*sim.Microsecond, 5)
+		send(2*sim.Millisecond, 0)
+		for at := sim.Duration(0); at < 4*sim.Millisecond; at += 50 * sim.Microsecond {
+			s.At(sim.Time(at), func() {
+				busy := make([]bool, len(ls))
+				for i, l := range ls {
+					busy[i] = l.r.Busy()
+				}
+				log = append(log, fmt.Sprintf("%d busy %v", s.Now(), busy))
+			})
+		}
+		s.Run()
+		return log
+	}
+	batched, reference := run(false), run(true)
+	if !slices.Equal(batched, reference) {
+		t.Fatalf("batched walk diverged from per-radio counters:\nbatched:\n%s\nreference:\n%s",
+			strings.Join(batched, "\n"), strings.Join(reference, "\n"))
+	}
+	// The scripted cases must actually have happened: the first frame's
+	// falling edges at radio 2 (seeded mid first-bit walk) and radio 7
+	// (subscribed in its own RxEnd), radio 4's rising edge (subscribed
+	// ahead of the walk), and radio 8's falling edge once the second frame
+	// ends.
+	for _, want := range []string{
+		"1001733 down r2 busy=false", "1001733 down r7 busy=false",
+		"1733 up r4 busy=true", "1501333 down r8 busy=false",
+	} {
+		if !slices.Contains(batched, want) {
+			t.Fatalf("no %q in the log:\n%s", want, strings.Join(batched, "\n"))
+		}
 	}
 }

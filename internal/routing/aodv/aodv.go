@@ -118,7 +118,7 @@ type discovery struct {
 type Router struct {
 	env   routing.Env
 	cfg   Config
-	ar    *packet.Arena // the env's packet arena (nil: plain allocation)
+	ar    *packet.Arena       // the env's packet arena (nil: plain allocation)
 	trust routing.TrustOracle // nil: legacy behaviour, bit-for-bit
 
 	seq uint32

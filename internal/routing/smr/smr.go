@@ -115,7 +115,7 @@ type discovery struct {
 type Router struct {
 	env   routing.Env
 	cfg   Config
-	ar    *packet.Arena // the env's packet arena (nil: plain allocation)
+	ar    *packet.Arena       // the env's packet arena (nil: plain allocation)
 	trust routing.TrustOracle // nil: legacy selection, bit-for-bit
 
 	reqID   uint32

@@ -312,6 +312,14 @@ func build(ctx *Context, cfg Config) (*Scenario, error) {
 	default:
 		return nil, fmt.Errorf("scenario: unknown protocol %q", cfg.Protocol)
 	}
+	for _, sp := range []struct {
+		name string
+		v    float64
+	}{{"MaxSpeed", cfg.MaxSpeed}, {"MinSpeed", cfg.MinSpeed}} {
+		if math.IsNaN(sp.v) || math.IsInf(sp.v, 0) || sp.v < 0 {
+			return nil, fmt.Errorf("scenario: %s must be finite and non-negative, got %v", sp.name, sp.v)
+		}
+	}
 
 	// The countermeasure's aware/dispersal halves are MTS path-selection
 	// policy, so they ride in through the router configuration; the

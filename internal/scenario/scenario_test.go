@@ -1,6 +1,8 @@
 package scenario
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"mtsim/internal/geo"
@@ -292,5 +294,38 @@ func TestRelayTableConsistency(t *testing.T) {
 	}
 	if m.RelayStdDev < 0 || m.RelayStdDev > 1 {
 		t.Fatalf("σ = %v out of range", m.RelayStdDev)
+	}
+}
+
+// Speeds reach the mobility model's leg timing, where NaN or an infinity
+// yields garbage times instead of an error, so Build rejects them, and
+// negative speeds, naming the field.
+func TestConfigRejectsBadSpeeds(t *testing.T) {
+	for _, tc := range []struct {
+		field string
+		set   func(*Config, float64)
+		v     float64
+	}{
+		{"MaxSpeed", func(c *Config, v float64) { c.MaxSpeed = v }, math.NaN()},
+		{"MaxSpeed", func(c *Config, v float64) { c.MaxSpeed = v }, math.Inf(1)},
+		{"MaxSpeed", func(c *Config, v float64) { c.MaxSpeed = v }, math.Inf(-1)},
+		{"MaxSpeed", func(c *Config, v float64) { c.MaxSpeed = v }, -1},
+		{"MinSpeed", func(c *Config, v float64) { c.MinSpeed = v }, math.NaN()},
+		{"MinSpeed", func(c *Config, v float64) { c.MinSpeed = v }, math.Inf(1)},
+		{"MinSpeed", func(c *Config, v float64) { c.MinSpeed = v }, math.Inf(-1)},
+		{"MinSpeed", func(c *Config, v float64) { c.MinSpeed = v }, -0.5},
+	} {
+		cfg := DefaultConfig()
+		tc.set(&cfg, tc.v)
+		_, err := Build(cfg)
+		if err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%s = %v: Build error %v, want one naming %s", tc.field, tc.v, err, tc.field)
+		}
+	}
+	// Zero stays valid: MaxSpeed 0 is static random placement.
+	cfg := DefaultConfig()
+	cfg.MaxSpeed, cfg.MinSpeed = 0, 0
+	if _, err := Build(cfg); err != nil {
+		t.Fatalf("static configuration rejected: %v", err)
 	}
 }

@@ -183,6 +183,10 @@ func (s *Scheduler) Now() Time { return s.now }
 // cancelled-but-unpopped events too; it is intended for tests and stats.
 func (s *Scheduler) Len() int { return len(s.heap) }
 
+// Scheduled returns how many events have been scheduled on s so far, which
+// is the tie-break sequence number the next one takes (tests and stats).
+func (s *Scheduler) Scheduled() uint64 { return s.seq }
+
 // FreeListLen reports the size of the task-event free list (tests/stats).
 func (s *Scheduler) FreeListLen() int { return len(s.free) }
 

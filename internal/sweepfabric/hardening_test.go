@@ -12,6 +12,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -19,6 +20,7 @@ import (
 
 	"mtsim/internal/runcache"
 	"mtsim/internal/scenario"
+	"mtsim/internal/sim"
 )
 
 // TestMalformedKeysBounceAtTheHTTPBoundary: /v1/wait and /v1/entry are
@@ -254,5 +256,58 @@ func TestQueryKeyEscapesSeparators(t *testing.T) {
 	c := url.Values{"fig": {"x"}, "format": {"csv"}, "timeout": {"30s"}}
 	if queryKey(a) != queryKey(c) {
 		t.Fatal("timeout leaked into the memo key")
+	}
+}
+
+// TestFigureQueryRejectsNonFiniteNumbers: strconv.ParseFloat accepts "NaN"
+// and "Inf", and NaN passes every ordered range check, so the speed,
+// duration and tcpstart parameters must be checked for finiteness at the
+// HTTP boundary: each bad value is a 400 before any cell is enqueued.
+func TestFigureQueryRejectsNonFiniteNumbers(t *testing.T) {
+	store, err := runcache.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	board := NewBoard(store)
+	server := NewServer(board)
+	srv := httptest.NewServer(server)
+	defer srv.Close()
+
+	for _, tc := range []struct{ param, value string }{
+		{"speeds", "NaN"},
+		{"speeds", "2,Inf"},
+		{"speeds", "-Inf"},
+		{"speeds", "-1"},
+		{"duration", "NaN"},
+		{"duration", "+Inf"},
+		{"duration", "0"},
+		{"tcpstart", "NaN"},
+		{"tcpstart", "Inf"},
+		{"tcpstart", "-1"},
+	} {
+		q := url.Values{"fig": {"fig9"}, "reps": {"1"}, tc.param: {tc.value}}
+		resp, err := http.Get(srv.URL + "/v1/figure?" + q.Encode())
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s=%s: HTTP %d, want 400", tc.param, tc.value, resp.StatusCode)
+		}
+	}
+	if st := board.Stats(); st.CellsEnqueued != 0 {
+		t.Fatalf("rejected queries enqueued cells: %+v", st)
+	}
+
+	// Finite values still parse.
+	sweep, err := server.sweepFromQuery(url.Values{
+		"speeds": {"0,2.5"}, "duration": {"12"}, "tcpstart": {"0"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(sweep.Speeds, []float64{0, 2.5}) || sweep.Base.Duration != 12*sim.Second || sweep.Base.TCPStart != 0 {
+		t.Fatalf("finite query parsed as speeds %v duration %v tcpstart %v",
+			sweep.Speeds, sweep.Base.Duration, sweep.Base.TCPStart)
 	}
 }

@@ -9,6 +9,7 @@ package sweepfabric
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/url"
 	"sort"
@@ -297,8 +298,8 @@ func (s *Server) sweepFromQuery(q url.Values) (experiment.Sweep, error) {
 		var speeds []float64
 		for _, part := range strings.Split(v, ",") {
 			f, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
-			if err != nil {
-				return sweep, fmt.Errorf("bad speed %q: %w", part, err)
+			if err != nil || !finite(f) || f < 0 {
+				return sweep, fmt.Errorf("bad speed %q (finite, non-negative m/s)", part)
 			}
 			speeds = append(speeds, f)
 		}
@@ -327,20 +328,24 @@ func (s *Server) sweepFromQuery(q url.Values) (experiment.Sweep, error) {
 	}
 	if v := q.Get("duration"); v != "" {
 		sec, err := strconv.ParseFloat(v, 64)
-		if err != nil || sec <= 0 {
+		if err != nil || !finite(sec) || sec <= 0 {
 			return sweep, fmt.Errorf("bad duration %q (seconds)", v)
 		}
 		sweep.Base.Duration = sim.Seconds(sec)
 	}
 	if v := q.Get("tcpstart"); v != "" {
 		sec, err := strconv.ParseFloat(v, 64)
-		if err != nil || sec < 0 {
+		if err != nil || !finite(sec) || sec < 0 {
 			return sweep, fmt.Errorf("bad tcpstart %q (seconds)", v)
 		}
 		sweep.Base.TCPStart = sim.Time(sim.Seconds(sec))
 	}
 	return sweep, nil
 }
+
+// finite reports whether f is neither NaN nor infinite: strconv.ParseFloat
+// accepts "NaN" and "Inf", and NaN slips past every ordered comparison.
+func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
 
 // handleFigure answers a figure/table/CSV query. Cold cells are pushed
 // through the board for the worker fleet; the final aggregation is the
