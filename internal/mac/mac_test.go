@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"mtsim/internal/geo"
+	"mtsim/internal/mobility"
 	"mtsim/internal/packet"
 	"mtsim/internal/phy"
 	"mtsim/internal/sim"
@@ -47,8 +48,7 @@ func newRig(positions []geo.Point, cfg Config) *rig {
 		up := &upperRec{}
 		id := packet.NodeID(i)
 		m := New(id, r.sched, r.ch, cfg, up, master.Derive("mac"), r.uids)
-		p := p
-		radio := r.ch.Attach(id, func(sim.Time) geo.Point { return p }, m)
+		radio := r.ch.Attach(id, &mobility.Static{P: p}, m)
 		m.BindRadio(radio)
 		r.macs = append(r.macs, m)
 		r.uppers = append(r.uppers, up)

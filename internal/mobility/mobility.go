@@ -9,19 +9,14 @@
 package mobility
 
 import (
-	"math"
-
 	"mtsim/internal/geo"
 	"mtsim/internal/sim"
 )
 
-// Model yields a node's position over time, also as a sequence of legs:
-// LegAt(t) is the leg in force at t, and LegAt(t).At(t) == PositionAt(t).
-// Both must be called with non-decreasing times; implementations may
-// advance internal state.
+// Model yields a node's position over time. PositionAt must be called with
+// non-decreasing times; implementations may advance internal state.
 type Model interface {
 	PositionAt(t sim.Time) geo.Point
-	LegAt(t sim.Time) Leg
 }
 
 // SpeedBounded is implemented by models that can bound how fast they move.
@@ -47,33 +42,12 @@ func (s *Static) PositionAt(sim.Time) geo.Point { return s.P }
 // MaxSpeed implements SpeedBounded: a static node never moves.
 func (s *Static) MaxSpeed() float64 { return 0 }
 
-// LegAt implements Model: the position as one leg that never expires.
-func (s *Static) LegAt(sim.Time) Leg {
-	return Leg{From: s.P, To: s.P, Until: sim.Time(math.MaxInt64)}
-}
-
-// Leg is one straight-line stretch of a trajectory: the node moves from
-// From at Start to To at Arrive, then sits at To until Until. Within
-// [Start, Until) the position is At(t), so a caller holding a leg needs no
-// further model calls until the leg expires.
-type Leg struct {
-	From, To geo.Point
-	Start    sim.Time // movement start
-	Arrive   sim.Time // arrival at To
-	Until    sim.Time // end of the pause after arrival; the leg is valid before it
-}
-
-// At returns the position on the leg at t (Start <= t < Until).
-func (l *Leg) At(t sim.Time) geo.Point {
-	if t >= l.Arrive {
-		return l.To // pausing at destination
-	}
-	span := l.Arrive.Sub(l.Start)
-	if span <= 0 {
-		return l.To
-	}
-	f := float64(t.Sub(l.Start)) / float64(span)
-	return l.From.Lerp(l.To, f)
+// Waypoint is one leg of a random-waypoint trajectory.
+type waypointLeg struct {
+	from, to  geo.Point
+	start     sim.Time // movement start
+	arrive    sim.Time // arrival at `to`
+	pauseTill sim.Time // end of the pause after arrival
 }
 
 // RandomWaypoint implements the random waypoint model within a rectangular
@@ -86,7 +60,7 @@ type RandomWaypoint struct {
 	maxSpeed float64 // m/s
 	pause    sim.Duration
 	rng      *sim.RNG
-	leg      Leg
+	leg      waypointLeg
 }
 
 // NewRandomWaypoint creates a random-waypoint model. The initial position is
@@ -111,7 +85,7 @@ func NewRandomWaypoint(field geo.Rect, minSpeed, maxSpeed float64, pause sim.Dur
 		rng:      rng,
 	}
 	start := m.randomPoint()
-	m.leg = Leg{From: start, To: start}
+	m.leg = waypointLeg{from: start, to: start, start: 0, arrive: 0, pauseTill: 0}
 	m.nextLeg(0)
 	return m
 }
@@ -128,36 +102,32 @@ func (m *RandomWaypoint) randomPoint() geo.Point {
 
 // nextLeg draws the next destination and speed, starting movement at `at`.
 func (m *RandomWaypoint) nextLeg(at sim.Time) {
-	from := m.leg.To
+	from := m.leg.to
 	to := m.randomPoint()
 	speed := m.rng.Uniform(m.minSpeed, m.maxSpeed)
 	dist := from.DistanceTo(to)
 	travel := sim.Seconds(dist / speed)
-	m.leg = Leg{
-		From:   from,
-		To:     to,
-		Start:  at,
-		Arrive: at.Add(travel),
-		Until:  at.Add(travel).Add(m.pause),
+	m.leg = waypointLeg{
+		from:      from,
+		to:        to,
+		start:     at,
+		arrive:    at.Add(travel),
+		pauseTill: at.Add(travel).Add(m.pause),
 	}
-}
-
-// LegAt implements Model. Times must be non-decreasing across calls (to
-// LegAt and PositionAt alike).
-func (m *RandomWaypoint) LegAt(t sim.Time) Leg {
-	m.advance(t)
-	return m.leg
 }
 
 // PositionAt implements Model. Times must be non-decreasing across calls.
 func (m *RandomWaypoint) PositionAt(t sim.Time) geo.Point {
-	m.advance(t)
-	return m.leg.At(t)
-}
-
-// advance draws legs until the one in force at t.
-func (m *RandomWaypoint) advance(t sim.Time) {
-	for t >= m.leg.Until {
-		m.nextLeg(m.leg.Until)
+	for t >= m.leg.pauseTill {
+		m.nextLeg(m.leg.pauseTill)
 	}
+	if t >= m.leg.arrive {
+		return m.leg.to // pausing at destination
+	}
+	span := m.leg.arrive.Sub(m.leg.start)
+	if span <= 0 {
+		return m.leg.to
+	}
+	f := float64(t.Sub(m.leg.start)) / float64(span)
+	return m.leg.from.Lerp(m.leg.to, f)
 }

@@ -123,39 +123,3 @@ func BenchmarkRandomWaypointQuery(b *testing.B) {
 		m.PositionAt(sim.Time(i) * sim.Time(sim.Millisecond))
 	}
 }
-
-// A caller that caches a leg and asks for the next one only once it has
-// expired (the PHY) must read exactly PositionAt's positions, including at
-// the instants a movement or a pause ends.
-func TestCachedLegMatchesPositionAt(t *testing.T) {
-	ref := NewRandomWaypoint(geo.Field(1000, 1000), 0, 20, sim.Second, sim.NewRNG(8))
-	src := NewRandomWaypoint(geo.Field(1000, 1000), 0, 20, sim.Second, sim.NewRNG(8))
-	var leg Leg // expired: the first query fetches
-	legs := 0
-	now := sim.Time(0)
-	for step := 0; step < 20000; step++ {
-		if now >= leg.Until {
-			leg = src.LegAt(now)
-			legs++
-		}
-		if got, want := leg.At(now), ref.PositionAt(now); got != want {
-			t.Fatalf("t=%v: cached leg gives %v, PositionAt %v", now, got, want)
-		}
-		// Land on the leg's own boundaries now and then, else step 7 ms.
-		switch step % 5 {
-		case 1:
-			now = max(now, leg.Arrive)
-		case 3:
-			now = max(now, leg.Until)
-		default:
-			now += sim.Time(7 * sim.Millisecond)
-		}
-	}
-	if legs < 20 {
-		t.Fatalf("only %d legs in the walk; boundaries went untested", legs)
-	}
-	s := &Static{P: geo.Point{X: 3, Y: 4}}
-	if l := s.LegAt(0); l.At(sim.Time(1e15)) != s.P || l.Until <= sim.Time(1e15) {
-		t.Fatalf("static leg %+v", l)
-	}
-}

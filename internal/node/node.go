@@ -119,7 +119,7 @@ func New(id packet.NodeID, sched *sim.Scheduler, ch *phy.Channel, macCfg mac.Con
 		flows: make(map[int]FlowHandler),
 	}
 	n.Mac = mac.New(id, sched, ch, macCfg, n, rng.Derive("mac"), uids)
-	n.Radio = ch.AttachLegs(id, mob, n.Mac)
+	n.Radio = ch.Attach(id, mob, n.Mac)
 	if sb, ok := mob.(mobility.SpeedBounded); ok {
 		n.Radio.SetMaxSpeed(sb.MaxSpeed())
 	}

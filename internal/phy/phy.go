@@ -67,9 +67,7 @@
 // one pass in ascending radio ID distance-checks them against their exact
 // current positions, so the delivered receiver set and its order are
 // bit-for-bit those of a full scan (the linear reference path is kept,
-// behind UseLinearScan, for equivalence tests). A mover attached with
-// AttachLegs caches its current waypoint leg, so its exact position is an
-// interpolation rather than a call into the mobility model.
+// behind UseLinearScan, for equivalence tests).
 package phy
 
 import (
@@ -95,13 +93,6 @@ type Listener interface {
 	RxEnd(f *packet.Frame, ok bool)
 }
 
-// LegSource is a trajectory handed out leg by leg (a mobility.Model).
-// LegAt returns the leg in force at t and is called with non-decreasing
-// times.
-type LegSource interface {
-	LegAt(t sim.Time) mobility.Leg
-}
-
 // Radio is one node's attachment to the channel.
 type Radio struct {
 	ID  packet.NodeID
@@ -114,16 +105,10 @@ type Radio struct {
 	// (raw Attach), which forces exact per-transmit snapshot refresh.
 	maxSpeed float64
 
-	// legs, when set (AttachLegs), supplies the trajectory piecewise: leg
-	// is the stretch in force, reused until leg.Until, so an exact position
-	// costs an interpolation instead of a model call. The zero leg has
-	// already expired, which makes the first query fetch one.
-	legs LegSource
-	leg  mobility.Leg
-
-	// Otherwise pos gives the position (Attach). It is pure in t, and many
-	// queries land on the same timestamp, so it is memoised per timestamp.
-	pos      func(sim.Time) geo.Point
+	// mob gives the position over time. Many queries land on the same
+	// timestamp (every receiver check of one transmission), so its answer
+	// is memoised per timestamp.
+	mob      mobility.Model
 	posKnown bool
 	posTime  sim.Time
 	posCache geo.Point
@@ -149,16 +134,10 @@ type reception struct {
 	collided bool
 }
 
-// positionAt returns the radio's exact position at t.
+// positionAt returns the radio's position at t, memoised per timestamp.
 func (r *Radio) positionAt(t sim.Time) geo.Point {
-	if r.legs != nil {
-		if t >= r.leg.Until {
-			r.leg = r.legs.LegAt(t)
-		}
-		return r.leg.At(t)
-	}
 	if !r.posKnown || r.posTime != t {
-		r.posCache = r.pos(t)
+		r.posCache = r.mob.PositionAt(t)
 		r.posTime = t
 		r.posKnown = true
 	}
@@ -555,21 +534,12 @@ func (c *Channel) UseLinearScan(on bool) { c.linear = on }
 // as the reference for equivalence tests.
 func (c *Channel) UseUnbatchedArrivals(on bool) { c.unbatched = on }
 
-// Attach registers a radio for a node whose position over time is given by
-// pos, which must give the same point whenever asked for the same time.
-// The listener (the node's MAC) must be set before any transmission can
-// reach the radio; it starts subscribed to energy edges.
-func (c *Channel) Attach(id packet.NodeID, pos func(sim.Time) geo.Point, lis Listener) *Radio {
-	return c.attach(id, pos, nil, lis)
-}
-
-// AttachLegs is Attach for a piecewise-linear trajectory: the radio caches
-// the leg in force and calls back into legs only when that leg expires.
-func (c *Channel) AttachLegs(id packet.NodeID, legs LegSource, lis Listener) *Radio {
-	return c.attach(id, nil, legs, lis)
-}
-
-func (c *Channel) attach(id packet.NodeID, pos func(sim.Time) geo.Point, legs LegSource, lis Listener) *Radio {
+// Attach registers a radio for a node moving as mob, which must give the
+// same point whenever asked for the same time. The model is passed as an
+// interface rather than as a method value, which would cost an allocation
+// per radio. The listener (the node's MAC) must be set before any
+// transmission can reach the radio; it starts subscribed to energy edges.
+func (c *Channel) Attach(id packet.NodeID, mob mobility.Model, lis Listener) *Radio {
 	var r *Radio
 	if n := len(c.spare); n > 0 {
 		r = c.spare[n-1]
@@ -580,8 +550,7 @@ func (c *Channel) attach(id packet.NodeID, pos func(sim.Time) geo.Point, legs Le
 	}
 	*r = Radio{
 		ID:       id,
-		legs:     legs,
-		pos:      pos,
+		mob:      mob,
 		lis:      lis,
 		ch:       c,
 		idx:      int32(len(c.radios)),

@@ -28,9 +28,9 @@ func buildField(s *sim.Scheduler, n int, linear bool) (*Channel, []*Radio) {
 		// Slow drift with a declared speed bound: position evaluation costs
 		// an interpolation (like the real waypoint model) and the channel
 		// exercises its epoch-refresh path instead of the static fast path.
-		pos := func(t sim.Time) geo.Point {
+		pos := posFunc(func(t sim.Time) geo.Point {
 			return geo.Point{X: x + t.Seconds()*1e-4, Y: y}
-		}
+		})
 		radios[i] = c.Attach(packet.NodeID(i), pos, nil)
 		radios[i].SetMaxSpeed(0.001)
 	}

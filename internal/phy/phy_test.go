@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"mtsim/internal/geo"
+	"mtsim/internal/mobility"
 	"mtsim/internal/packet"
 	"mtsim/internal/sim"
 )
@@ -25,9 +26,14 @@ func (r *recorder) RxEnd(f *packet.Frame, ok bool) {
 	r.oks = append(r.oks, ok)
 }
 
-func fixed(x, y float64) func(sim.Time) geo.Point {
-	return func(sim.Time) geo.Point { return geo.Point{X: x, Y: y} }
+func fixed(x, y float64) mobility.Model {
+	return &mobility.Static{P: geo.Point{X: x, Y: y}}
 }
+
+// posFunc is a test trajectory given by a position function.
+type posFunc func(sim.Time) geo.Point
+
+func (f posFunc) PositionAt(t sim.Time) geo.Point { return f(t) }
 
 func testFrame(from, to packet.NodeID) *packet.Frame {
 	return &packet.Frame{UID: 1, Kind: packet.FrameData, TxFrom: from, TxTo: to}
@@ -306,12 +312,12 @@ func TestMovingNodeOutOfRangeNotReached(t *testing.T) {
 	rb := &recorder{}
 	// Node starts far away and "teleports" close only after the frame
 	// was sent — range is evaluated at transmission start.
-	pos := func(t sim.Time) geo.Point {
+	pos := posFunc(func(t sim.Time) geo.Point {
 		if t < sim.Time(sim.Millisecond) {
 			return geo.Point{X: 1000, Y: 0}
 		}
 		return geo.Point{X: 10, Y: 0}
-	}
+	})
 	c.Attach(1, pos, rb)
 
 	s.At(0, func() { c.Transmit(a, testFrame(0, 1), sim.Millisecond) })
