@@ -61,14 +61,14 @@ func NewAdaptive(hosts []*node.Node, interval sim.Duration, rng *sim.RNG) *Adapt
 		idx := i
 		h.AddTap(func(f *packet.Frame) { a.tap(idx, f) })
 	}
-	sched := hosts[0].Scheduler()
-	var move func()
-	move = func() {
-		a.retap()
-		sched.After(a.interval, move)
-	}
-	sched.After(interval, move)
+	hosts[0].Scheduler().After(interval, a, 0)
 	return a
+}
+
+// Run implements sim.Task: re-tap, then wait for the next decision.
+func (a *Adaptive) Run(int) {
+	a.retap()
+	a.hosts[0].Scheduler().After(a.interval, a, 0)
 }
 
 // retap moves the active vantage point to the candidate that overheard

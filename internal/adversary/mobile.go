@@ -46,14 +46,14 @@ func NewMobile(hosts []*node.Node, interval sim.Duration, rng *sim.RNG) *Mobile 
 		idx := i
 		h.AddTap(func(f *packet.Frame) { m.tap(idx, f) })
 	}
-	sched := hosts[0].Scheduler()
-	var move func()
-	move = func() {
-		m.active = (m.active + 1) % len(m.hosts)
-		sched.After(m.interval, move)
-	}
-	sched.After(interval, move)
+	hosts[0].Scheduler().After(interval, m, 0)
 	return m
+}
+
+// Run implements sim.Task: move on to the next host of the tour.
+func (m *Mobile) Run(int) {
+	m.active = (m.active + 1) % len(m.hosts)
+	m.hosts[0].Scheduler().After(m.interval, m, 0)
 }
 
 func (m *Mobile) tap(host int, f *packet.Frame) {

@@ -129,7 +129,7 @@ func (w *Wormhole) filter(from int, p *packet.Packet, next packet.NodeID) bool {
 
 func (w *Wormhole) tunnel(from int, p *packet.Packet) {
 	t := &tunnelled{w: w, from: from, p: p}
-	t.h = w.ends[from].Scheduler().AfterTaskCancellable(TunnelDelay, t, 0)
+	t.h = w.ends[from].Scheduler().After(TunnelDelay, t, 0)
 	w.pend = append(w.pend, t)
 	w.tunnelledN++
 }
@@ -141,7 +141,7 @@ func (w *Wormhole) Retire() {
 	sched := w.ends[0].Scheduler()
 	for len(w.pend) > 0 {
 		t := w.pend[0]
-		sched.CancelTask(t.h)
+		sched.Cancel(t.h)
 		w.ends[t.from].Arena().Release(t.p)
 		w.forget(t)
 	}

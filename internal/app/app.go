@@ -23,10 +23,13 @@ func NewFTP(sender *tcp.Sender, startAt sim.Time) *FTP {
 
 // Install schedules the transfer start on the scheduler.
 func (f *FTP) Install(sched *sim.Scheduler) {
-	sched.At(f.StartAt, func() {
-		f.Sender.Supply(1 << 40) // effectively infinite
-		f.Sender.Start()
-	})
+	sched.At(f.StartAt, f, 0)
+}
+
+// Run implements sim.Task: the transfer starts.
+func (f *FTP) Run(int) {
+	f.Sender.Supply(1 << 40) // effectively infinite
+	f.Sender.Start()
 }
 
 // CBRNetwork is the node interface a CBR source needs.
@@ -70,10 +73,11 @@ func NewCBR(net CBRNetwork, flow int, dst packet.NodeID, size int, interval sim.
 
 // Install schedules the source.
 func (c *CBR) Install(sched *sim.Scheduler) {
-	sched.At(c.startAt, c.tick)
+	sched.At(c.startAt, c, 0)
 }
 
-func (c *CBR) tick() {
+// Run implements sim.Task: one tick sends one datagram until stopAt.
+func (c *CBR) Run(int) {
 	sched := c.net.Scheduler()
 	if sched.Now() >= c.stopAt {
 		return
@@ -94,5 +98,5 @@ func (c *CBR) tick() {
 	c.seq++
 	c.Sent++
 	c.net.Originate(p)
-	sched.After(c.interval, c.tick)
+	sched.After(c.interval, c, 0)
 }

@@ -3,18 +3,33 @@ package core
 import (
 	"mtsim/internal/packet"
 	"mtsim/internal/routing"
+	"mtsim/internal/sim"
 )
+
+// Run implements sim.Task for the router's checking rounds (arg is the
+// source, ≥ 0) and deferred path switches (arg is ^dst, < 0).
+func (r *Router) Run(arg int) {
+	if arg >= 0 {
+		r.checkRound(packet.NodeID(arg))
+		return
+	}
+	// The deferred switch commits: re-score at fire time, since usage
+	// counts may have moved during the margin.
+	ss := r.src[packet.NodeID(^arg)]
+	ss.pendingSwitch = sim.TaskHandle{}
+	r.switchTo(ss, r.switchTarget(ss, ss.nominee))
+}
 
 // ensureChecking starts the destination's periodic checking timer for the
 // session with src, if not already running (§III-D).
 func (r *Router) ensureChecking(src packet.NodeID) {
 	ds := r.dst[src]
-	if ds == nil || ds.timer != nil {
+	if ds == nil || ds.timer.Pending() {
 		return
 	}
 	// Jitter the first round so concurrent sessions do not synchronise.
 	delay := r.cfg.CheckPeriod + r.env.RNG().Jitter(r.cfg.CheckPeriod/4)
-	ds.timer = r.env.Scheduler().After(delay, func() { r.checkRound(src) })
+	ds.timer = r.env.Scheduler().After(delay, r, int(src))
 }
 
 // checkRound sends one checking packet along every live stored path
@@ -25,7 +40,7 @@ func (r *Router) checkRound(src packet.NodeID) {
 	if ds == nil {
 		return
 	}
-	ds.timer = nil
+	ds.timer = sim.TaskHandle{}
 	// Stop checking for sessions that have gone quiet.
 	if ds.lastData > 0 && r.env.Scheduler().Now().Sub(ds.lastData) > r.cfg.SessionIdle {
 		return
@@ -44,7 +59,7 @@ func (r *Router) checkRound(src packet.NodeID) {
 		// the source will repopulate the set and restart it.
 		return
 	}
-	ds.timer = r.env.Scheduler().After(r.cfg.CheckPeriod, func() { r.checkRound(src) })
+	ds.timer = r.env.Scheduler().After(r.cfg.CheckPeriod, r, int(src))
 }
 
 func (r *Router) sendCheck(src packet.NodeID, sp *storedPath) {
@@ -99,7 +114,7 @@ func (r *Router) handleCheck(p *packet.Packet, from packet.NodeID) {
 		ss.haveRoute = true
 
 		if r.cfg.SwitchOnCheck {
-			r.considerSwitch(ss, h.CheckID, h.PathID)
+			r.considerSwitch(h.From, ss, h.CheckID, h.PathID)
 		}
 		return
 	}
@@ -114,15 +129,13 @@ func (r *Router) handleCheck(p *packet.Packet, from packet.NodeID) {
 // the first checking packet of a round nominates its path; if that path is
 // already current, the round is settled. Otherwise the switch commits
 // after SwitchMargin unless the current path's own checking packet shows
-// up in time, in which case the current path is kept.
-func (r *Router) considerSwitch(ss *srcState, checkID uint32, pathID int) {
+// up in time, in which case the current path is kept. ss is r.src[dst].
+func (r *Router) considerSwitch(dst packet.NodeID, ss *srcState, checkID uint32, pathID int) {
 	if routing.SeqNewer(checkID, ss.lastSwitchRound) {
 		// First arrival of a new round.
 		ss.lastSwitchRound = checkID
-		if ss.pendingSwitch != nil {
-			r.env.Scheduler().Cancel(ss.pendingSwitch)
-			ss.pendingSwitch = nil
-		}
+		r.env.Scheduler().Cancel(ss.pendingSwitch)
+		ss.pendingSwitch = sim.TaskHandle{}
 		if pathID == ss.current {
 			// The current path won the race outright; the aware policy
 			// may still move off it when its first hop has grown
@@ -136,18 +149,14 @@ func (r *Router) considerSwitch(ss *srcState, checkID uint32, pathID int) {
 			r.switchTo(ss, r.switchTarget(ss, pathID))
 			return
 		}
-		ss.pendingSwitch = r.env.Scheduler().After(r.cfg.SwitchMargin, func() {
-			ss.pendingSwitch = nil
-			// Re-score at fire time: usage counts may have moved during
-			// the margin.
-			r.switchTo(ss, r.switchTarget(ss, pathID))
-		})
+		ss.nominee = pathID
+		ss.pendingSwitch = r.env.Scheduler().After(r.cfg.SwitchMargin, r, ^int(dst))
 		return
 	}
-	if checkID == ss.lastSwitchRound && pathID == ss.current && ss.pendingSwitch != nil {
+	if checkID == ss.lastSwitchRound && pathID == ss.current && ss.pendingSwitch.Pending() {
 		// The current path answered within the margin: keep it.
 		r.env.Scheduler().Cancel(ss.pendingSwitch)
-		ss.pendingSwitch = nil
+		ss.pendingSwitch = sim.TaskHandle{}
 	}
 }
 

@@ -181,8 +181,10 @@ type srcState struct {
 	haveRoute       bool
 	lastSwitchRound uint32
 	// pendingSwitch defers a round's switch decision by SwitchMargin so
-	// the current path can defend its place (see Config.SwitchMargin).
-	pendingSwitch *sim.Event
+	// the current path can defend its place (see Config.SwitchMargin);
+	// nominee is the path that round's first checking packet nominated.
+	pendingSwitch sim.TaskHandle
+	nominee       int
 	// sent counts data packets handed to each first hop (lazily
 	// allocated; drives the AwarePenalty usage-skew scores), rotate is
 	// the Disperse round-robin cursor, and scratch is the reused backing
@@ -205,7 +207,7 @@ type storedPath struct {
 type dstState struct {
 	bid          uint32
 	paths        []*storedPath
-	timer        *sim.Event
+	timer        sim.TaskHandle
 	lastData     sim.Time
 	lastDataPath int
 }
@@ -277,9 +279,11 @@ type seenKey struct {
 	bid  uint32
 }
 
+// discovery is one in-flight route discovery and the Task of its timeout.
 type discovery struct {
+	r        *Router
 	attempts int
-	timer    *sim.Event
+	timer    sim.TaskHandle
 }
 
 // staleAfter returns the source-side path freshness horizon.
@@ -514,7 +518,7 @@ func (r *Router) RecycleInto(rec *routing.Recycler) {
 			clear(ss.sent)
 		}
 		ss.current, ss.haveRoute, ss.lastSwitchRound = 0, false, 0
-		ss.pendingSwitch = nil
+		ss.pendingSwitch, ss.nominee = sim.TaskHandle{}, 0
 		ss.sentTotal, ss.rotate = 0, 0
 		ss.scratch = ss.scratch[:0]
 		r.srcPool = append(r.srcPool, ss)

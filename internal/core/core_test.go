@@ -8,6 +8,11 @@ import (
 	"mtsim/internal/sim"
 )
 
+// do adapts a closure to sim.Task for ad-hoc test events.
+type do func()
+
+func (f do) Run(int) { f() }
+
 // net is the hand-driven harness (same pattern as the AODV/DSR tests).
 type net struct {
 	sched   *sim.Scheduler
@@ -174,9 +179,9 @@ func TestCheckingRefreshesAndSwitches(t *testing.T) {
 	// Keep data flowing so the session stays active.
 	for i := int64(1); i <= 5; i++ {
 		i := i
-		n.sched.At(sim.Time(i)*sim.Time(sim.Second), func() {
+		n.sched.At(sim.Time(i)*sim.Time(sim.Second), do(func() {
 			n.routers[0].Send(dataPacket(&n.uids, 0, 3, i))
-		})
+		}), 0)
 	}
 	n.pump(12 * sim.Second) // several checking rounds
 
@@ -200,9 +205,9 @@ func TestNoSwitchingWhenDisabled(t *testing.T) {
 	_, firstNext, _ := n.routers[0].CurrentPath(3)
 	for i := int64(1); i <= 8; i++ {
 		i := i
-		n.sched.At(sim.Time(i)*sim.Time(sim.Second), func() {
+		n.sched.At(sim.Time(i)*sim.Time(sim.Second), do(func() {
 			n.routers[0].Send(dataPacket(&n.uids, 0, 3, i))
-		})
+		}), 0)
 	}
 	n.pump(15 * sim.Second)
 	_, next, ok := n.routers[0].CurrentPath(3)
@@ -230,9 +235,9 @@ func TestCheckErrDeletesPath(t *testing.T) {
 	// Keep the session active.
 	for i := int64(1); i <= 8; i++ {
 		i := i
-		n.sched.At(sim.Time(i)*sim.Time(sim.Second), func() {
+		n.sched.At(sim.Time(i)*sim.Time(sim.Second), do(func() {
 			n.routers[0].Send(dataPacket(&n.uids, 0, 3, i))
-		})
+		}), 0)
 	}
 	n.pump(12 * sim.Second)
 
@@ -258,7 +263,7 @@ func TestNewRREQFlushesStoredPaths(t *testing.T) {
 		t.Fatal("setup: want 2 paths")
 	}
 	// Force a second discovery from the source.
-	d := &discovery{}
+	d := &discovery{r: n.routers[0]}
 	n.routers[0].pending[3] = d
 	n.routers[0].attempt(3, d)
 	n.pump(100 * sim.Millisecond)
@@ -279,9 +284,9 @@ func TestDataFailoverOnLinkFailure(t *testing.T) {
 	// Run a couple of checking rounds so the source knows both paths.
 	for i := int64(1); i <= 6; i++ {
 		i := i
-		n.sched.At(sim.Time(i)*sim.Time(sim.Second), func() {
+		n.sched.At(sim.Time(i)*sim.Time(sim.Second), do(func() {
 			n.routers[0].Send(dataPacket(&n.uids, 0, 3, i))
-		})
+		}), 0)
 	}
 	n.pump(8 * sim.Second)
 	if n.routers[0].LivePathCount(3) != 2 {

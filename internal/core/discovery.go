@@ -75,7 +75,7 @@ func (r *Router) startDiscovery(dst packet.NodeID) {
 	if _, busy := r.pending[dst]; busy {
 		return
 	}
-	d := &discovery{}
+	d := &discovery{r: r}
 	r.pending[dst] = d
 	r.attempt(dst, d)
 }
@@ -101,18 +101,22 @@ func (r *Router) attempt(dst packet.NodeID, d *discovery) {
 	r.env.SendMac(p, packet.Broadcast)
 
 	timeout := r.cfg.DiscoveryTimeout << (d.attempts - 1)
-	d.timer = r.env.Scheduler().After(timeout, func() {
-		if ss := r.src[dst]; ss != nil && ss.haveRoute {
-			delete(r.pending, dst)
-			return
-		}
-		if d.attempts >= r.cfg.DiscoveryRetries {
-			delete(r.pending, dst)
-			r.buffer.DropAll(dst)
-			return
-		}
-		r.attempt(dst, d)
-	})
+	d.timer = r.env.Scheduler().After(timeout, d, int(dst))
+}
+
+// Run implements sim.Task: the discovery for dst (arg) timed out.
+func (d *discovery) Run(arg int) {
+	r, dst := d.r, packet.NodeID(arg)
+	if ss := r.src[dst]; ss != nil && ss.haveRoute {
+		delete(r.pending, dst)
+		return
+	}
+	if d.attempts >= r.cfg.DiscoveryRetries {
+		delete(r.pending, dst)
+		r.buffer.DropAll(dst)
+		return
+	}
+	r.attempt(dst, d)
 }
 
 func (r *Router) handleRREQ(p *packet.Packet, from packet.NodeID) {
@@ -274,9 +278,7 @@ func (r *Router) handleRREP(p *packet.Packet, from packet.NodeID) {
 
 func (r *Router) completeDiscovery(dst packet.NodeID) {
 	if d, ok := r.pending[dst]; ok {
-		if d.timer != nil {
-			r.env.Scheduler().Cancel(d.timer)
-		}
+		r.env.Scheduler().Cancel(d.timer)
 		delete(r.pending, dst)
 	}
 	ss := r.src[dst]

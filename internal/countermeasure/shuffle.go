@@ -41,7 +41,7 @@ type Shuffler struct {
 	hold  sim.Duration
 
 	buf   []*packet.Packet
-	timer *sim.Event
+	timer sim.TaskHandle
 
 	// Shuffled counts segments released in permuted order; Blocks counts
 	// flushes (full and timer-forced).
@@ -71,14 +71,16 @@ func (s *Shuffler) Filter(p *packet.Packet) bool {
 		s.flush()
 		return true
 	}
-	if s.timer == nil && s.hold > 0 {
-		s.timer = s.host.Scheduler().After(s.hold, s.onHold)
+	if !s.timer.Pending() && s.hold > 0 {
+		s.timer = s.host.Scheduler().After(s.hold, s, 0)
 	}
 	return true
 }
 
-func (s *Shuffler) onHold() {
-	s.timer = nil
+// Run implements sim.Task: the hold timer expired, so the partial block
+// goes out.
+func (s *Shuffler) Run(int) {
+	s.timer = sim.TaskHandle{}
 	if len(s.buf) > 0 {
 		s.flush()
 	}
@@ -88,10 +90,8 @@ func (s *Shuffler) onHold() {
 // is drawn fresh per block, so even a repeating block size never settles
 // into a fixed interleaving an observer could invert.
 func (s *Shuffler) flush() {
-	if s.timer != nil {
-		s.host.Scheduler().Cancel(s.timer)
-		s.timer = nil
-	}
+	s.host.Scheduler().Cancel(s.timer)
+	s.timer = sim.TaskHandle{}
 	block := s.buf
 	s.buf = nil // reentrant originations open a fresh block
 	s.Blocks++
@@ -118,10 +118,8 @@ func (s *Shuffler) Pending() int { return len(s.buf) }
 // contract: segments claimed from Originate either re-enter the stack via
 // Inject or die here.
 func (s *Shuffler) Retire() {
-	if s.timer != nil {
-		s.host.Scheduler().Cancel(s.timer)
-		s.timer = nil
-	}
+	s.host.Scheduler().Cancel(s.timer)
+	s.timer = sim.TaskHandle{}
 	for i, p := range s.buf {
 		s.ar.Release(p)
 		s.buf[i] = nil

@@ -62,14 +62,14 @@ func TestEnergyEdgesInertOutsideContention(t *testing.T) {
 			}
 		}
 		send := func(at sim.Duration, from, to packet.NodeID, size int) {
-			r.sched.At(sim.Time(at), func() {
+			r.sched.At(sim.Time(at), do(func() {
 				dst := to
 				if to == packet.Broadcast {
 					dst = 0
 				}
 				r.macs[from].Send(r.dataPacket(from, dst, size), to)
 				idleImpliesEmpty("after Send")
-			})
+			}), 0)
 		}
 		for k := 0; k < 6; k++ {
 			at := sim.Duration(k) * 3 * sim.Millisecond
@@ -81,10 +81,10 @@ func TestEnergyEdgesInertOutsideContention(t *testing.T) {
 			send(at+700*sim.Microsecond, 1, 4, 600)
 		}
 		send(sim.Millisecond, 0, 5, 1040) // out of range: retries, link failure
-		r.sched.At(sim.Time(8*sim.Millisecond), func() {
+		r.sched.At(sim.Time(8*sim.Millisecond), do(func() {
 			r.macs[1].DropWhere(func(_ *packet.Packet, next packet.NodeID) bool { return next == 4 })
 			idleImpliesEmpty("after DropWhere")
-		})
+		}), 0)
 
 		seen = map[jobState]bool{}
 		for r.sched.Now() < sim.Time(sim.Second) && r.sched.Step() {

@@ -229,10 +229,9 @@ func (m *Mac) releaseJobFrame(j *txJob) {
 	j.frame = nil
 }
 
-// Timer kinds dispatched through the MAC's sim.Task implementation. All
-// MAC timers run as pooled task events: the 802.11 state machine arms and
-// revokes timers on every frame, so closure events would dominate the
-// simulator's allocation profile.
+// Timer kinds dispatched through the MAC's sim.Task implementation: the
+// 802.11 state machine arms and revokes timers on every frame, and one
+// Task told apart by its argument keeps that allocation-free.
 const (
 	macNavExpire = iota
 	macDIFSDone
@@ -254,7 +253,7 @@ func (m *Mac) Run(arg int) {
 	case macDIFSDone:
 		m.difsEvent = sim.TaskHandle{}
 		m.backoffStart = m.sched.Now()
-		m.backoffEvent = m.sched.AfterTaskCancellable(
+		m.backoffEvent = m.sched.After(
 			sim.Duration(m.backoffSlots)*m.cfg.SlotTime, m, macBackoffDone)
 	case macBackoffDone:
 		m.backoffEvent = sim.TaskHandle{}
@@ -269,12 +268,12 @@ func (m *Mac) Run(arg int) {
 		m.releaseJobFrame(m.cur)
 		m.setState(stWaitCTS)
 		timeout := m.cfg.SIFS + m.ctsAirtime() + 2*maxPropSlack + m.cfg.SlotTime
-		m.timeoutEvent = m.sched.AfterTaskCancellable(timeout, m, macCTSTimeout)
+		m.timeoutEvent = m.sched.After(timeout, m, macCTSTimeout)
 	case macTxDoneData:
 		m.releaseJobFrame(m.cur)
 		m.setState(stWaitAck)
 		timeout := m.cfg.SIFS + m.ackAirtime() + 2*maxPropSlack + m.cfg.SlotTime
-		m.timeoutEvent = m.sched.AfterTaskCancellable(timeout, m, macAckTimeout)
+		m.timeoutEvent = m.sched.After(timeout, m, macAckTimeout)
 	case macTxDoneBroadcast:
 		if j := m.cur; j != nil {
 			// A broadcast has no MAC-ACK: the payload dies with the

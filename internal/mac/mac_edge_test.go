@@ -42,10 +42,10 @@ func TestMutualSimultaneousSends(t *testing.T) {
 	// Both stations want to send to each other at the same instant; CSMA
 	// must eventually deliver both directions.
 	r := newRig([]geo.Point{{X: 0, Y: 0}, {X: 100, Y: 0}}, Default80211b())
-	r.sched.At(0, func() {
+	r.sched.At(0, do(func() {
 		r.macs[0].Send(r.dataPacket(0, 1, 1040), 1)
 		r.macs[1].Send(r.dataPacket(1, 0, 1040), 0)
-	})
+	}), 0)
 	r.sched.RunUntil(sim.Time(2 * sim.Second))
 	if len(r.uppers[0].delivered) != 1 || len(r.uppers[1].delivered) != 1 {
 		t.Fatalf("mutual delivery: %d / %d",
@@ -149,10 +149,10 @@ func TestBackoffBankingAcrossPauses(t *testing.T) {
 	// Node 2 sends three spaced broadcasts creating busy/idle cycles.
 	for i := 0; i < 3; i++ {
 		i := i
-		r.sched.At(sim.Time(i)*sim.Time(2*sim.Millisecond), func() {
+		r.sched.At(sim.Time(i)*sim.Time(2*sim.Millisecond), do(func() {
 			p := &packet.Packet{UID: r.uids.Next(), Kind: packet.KindData, Size: 1000, Src: 2, Dst: 0}
 			r.macs[2].Send(p, packet.Broadcast)
-		})
+		}), 0)
 	}
 	var sentAt sim.Time
 	r.macs[0].OnSend = func(f *packet.Frame) {
@@ -160,9 +160,9 @@ func TestBackoffBankingAcrossPauses(t *testing.T) {
 			sentAt = r.sched.Now()
 		}
 	}
-	r.sched.At(sim.Time(100*sim.Microsecond), func() {
+	r.sched.At(sim.Time(100*sim.Microsecond), do(func() {
 		r.macs[0].Send(r.dataPacket(0, 1, 40), 1)
-	})
+	}), 0)
 	r.sched.RunUntil(sim.Time(sim.Second))
 	if sentAt == 0 {
 		t.Fatal("never transmitted")

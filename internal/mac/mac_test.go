@@ -10,6 +10,11 @@ import (
 	"mtsim/internal/sim"
 )
 
+// do adapts a closure to sim.Task for ad-hoc test events.
+type do func()
+
+func (f do) Run(int) { f() }
+
 // upperRec records Upper callbacks for assertions.
 type upperRec struct {
 	delivered []*packet.Packet
@@ -204,10 +209,10 @@ func TestConcurrentSendersBothDeliver(t *testing.T) {
 	r := newRig([]geo.Point{{X: 0, Y: 0}, {X: 100, Y: 0}, {X: 50, Y: 50}}, Default80211b())
 	p1 := r.dataPacket(0, 2, 1040)
 	p2 := r.dataPacket(1, 2, 1040)
-	r.sched.At(0, func() {
+	r.sched.At(0, do(func() {
 		r.macs[0].Send(p1, 2)
 		r.macs[1].Send(p2, 2)
-	})
+	}), 0)
 	r.sched.RunUntil(sim.Time(sim.Second))
 
 	if len(r.uppers[2].delivered) != 2 {
@@ -227,7 +232,7 @@ func TestManyContendersAllDeliver(t *testing.T) {
 		for k := 0; k < per; k++ {
 			p := r.dataPacket(packet.NodeID(s), 0, 1040)
 			s := s
-			r.sched.At(0, func() { r.macs[s].Send(p, 0) })
+			r.sched.At(0, do(func() { r.macs[s].Send(p, 0) }), 0)
 		}
 	}
 	r.sched.RunUntil(sim.Time(2 * sim.Second))
@@ -340,9 +345,9 @@ func TestNAVDefersThirdParty(t *testing.T) {
 	}
 	r.macs[0].Send(r.dataPacket(0, 1, 1040), 1)
 	// C tries to send after A's RTS has been overheard.
-	r.sched.At(sim.Time(400*sim.Microsecond), func() {
+	r.sched.At(sim.Time(400*sim.Microsecond), do(func() {
 		r.macs[2].Send(r.dataPacket(2, 1, 1040), 1)
-	})
+	}), 0)
 	r.sched.RunUntil(sim.Time(sim.Second))
 
 	if ackAt == 0 || cSentAt == 0 {
@@ -381,9 +386,9 @@ func TestBackoffPausesUnderEnergy(t *testing.T) {
 			sentAt = r.sched.Now()
 		}
 	}
-	r.sched.At(sim.Time(100*sim.Microsecond), func() {
+	r.sched.At(sim.Time(100*sim.Microsecond), do(func() {
 		r.macs[0].Send(r.dataPacket(0, 1, 40), 1)
-	})
+	}), 0)
 	r.sched.RunUntil(sim.Time(sim.Second))
 
 	// The broadcast occupies ~40ms+192us at 2 Mb/s; node 0 must wait.

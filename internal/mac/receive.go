@@ -30,10 +30,8 @@ func (m *Mac) setNAV(until sim.Time) {
 	if m.state == stContend {
 		m.pauseContention()
 	}
-	if m.navEvent.Pending() {
-		m.sched.CancelTask(m.navEvent)
-	}
-	m.navEvent = m.sched.AtTaskCancellable(until, m, macNavExpire)
+	m.sched.Cancel(m.navEvent)
+	m.navEvent = m.sched.At(until, m, macNavExpire)
 }
 
 // RxEnd implements phy.Listener: a decodable frame finished arriving.
@@ -88,10 +86,8 @@ func (m *Mac) handleCTS(f *packet.Frame) {
 	if m.state != stWaitCTS || m.cur == nil || f.TxFrom != m.cur.next {
 		return
 	}
-	if m.timeoutEvent.Pending() {
-		m.sched.CancelTask(m.timeoutEvent)
-		m.timeoutEvent = sim.TaskHandle{}
-	}
+	m.sched.Cancel(m.timeoutEvent)
+	m.timeoutEvent = sim.TaskHandle{}
 	m.setState(stTxData) // committed; a duplicate CTS must not re-trigger
 	m.sendDataAfterCTS()
 }
@@ -128,10 +124,8 @@ func (m *Mac) handleAck(f *packet.Frame) {
 	if m.state != stWaitAck || m.cur == nil || f.TxFrom != m.cur.next {
 		return
 	}
-	if m.timeoutEvent.Pending() {
-		m.sched.CancelTask(m.timeoutEvent)
-		m.timeoutEvent = sim.TaskHandle{}
-	}
+	m.sched.Cancel(m.timeoutEvent)
+	m.timeoutEvent = sim.TaskHandle{}
 	m.finishJob()
 }
 
@@ -166,7 +160,7 @@ func (r *respJob) Run(arg int) {
 		}
 		m.Stats.ResponsesSent++
 		m.put(r.f, r.airtime)
-		m.sched.AfterTask(r.airtime, r, respDone)
+		m.sched.After(r.airtime, r, respDone)
 	case respDone:
 		m.responding--
 		m.arena.ReleaseFrameAfter(r.f, m.propHold())
@@ -199,5 +193,5 @@ func (m *Mac) respond(f *packet.Frame, airtime sim.Duration) {
 	r := m.respPool.Get()
 	r.m, r.f, r.airtime = m, f, airtime
 	m.resps = append(m.resps, r)
-	m.sched.AfterTask(m.cfg.SIFS, r, respSend)
+	m.sched.After(m.cfg.SIFS, r, respSend)
 }

@@ -81,10 +81,8 @@ func (m *Mac) drawBackoff() int { return m.rng.Intn(m.cw + 1) }
 // pauseContention freezes the DIFS wait / backoff countdown, banking fully
 // elapsed slots.
 func (m *Mac) pauseContention() {
-	if m.difsEvent.Pending() {
-		m.sched.CancelTask(m.difsEvent)
-		m.difsEvent = sim.TaskHandle{}
-	}
+	m.sched.Cancel(m.difsEvent)
+	m.difsEvent = sim.TaskHandle{}
 	if m.backoffEvent.Pending() {
 		elapsed := m.sched.Now().Sub(m.backoffStart)
 		done := int(elapsed / m.cfg.SlotTime)
@@ -92,7 +90,7 @@ func (m *Mac) pauseContention() {
 			done = m.backoffSlots
 		}
 		m.backoffSlots -= done
-		m.sched.CancelTask(m.backoffEvent)
+		m.sched.Cancel(m.backoffEvent)
 		m.backoffEvent = sim.TaskHandle{}
 	}
 }
@@ -103,7 +101,7 @@ func (m *Mac) resumeContention() {
 	if m.difsEvent.Pending() || m.backoffEvent.Pending() {
 		return // already counting
 	}
-	m.difsEvent = m.sched.AfterTaskCancellable(m.cfg.DIFS, m, macDIFSDone)
+	m.difsEvent = m.sched.After(m.cfg.DIFS, m, macDIFSDone)
 }
 
 func (m *Mac) onBackoffDone() {
@@ -163,7 +161,7 @@ func (m *Mac) transmitRTS(job *txJob) {
 	job.frame = f
 	airtime := m.txTime(m.cfg.RTSBytes, m.cfg.BasicRate)
 	m.put(f, airtime)
-	m.sched.AfterTask(airtime, m, macTxDoneRTS)
+	m.sched.After(airtime, m, macTxDoneRTS)
 }
 
 func (m *Mac) transmitData(job *txJob) {
@@ -187,9 +185,9 @@ func (m *Mac) transmitData(job *txJob) {
 	job.frame = f
 	m.put(f, airtime)
 	if broadcast {
-		m.sched.AfterTask(airtime, m, macTxDoneBroadcast)
+		m.sched.After(airtime, m, macTxDoneBroadcast)
 	} else {
-		m.sched.AfterTask(airtime, m, macTxDoneData)
+		m.sched.After(airtime, m, macTxDoneData)
 	}
 }
 
@@ -201,7 +199,7 @@ func (m *Mac) sendDataAfterCTS() {
 		return
 	}
 	m.ctsJob = job
-	m.sched.AfterTask(m.cfg.SIFS, m, macSendAfterCTS)
+	m.sched.After(m.cfg.SIFS, m, macSendAfterCTS)
 }
 
 func (m *Mac) onCTSTimeout() {

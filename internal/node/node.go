@@ -313,16 +313,16 @@ func (n *Node) forgetDelayed(d *delayedSend) {
 	n.dsPool.Put(d)
 }
 
-// SendMacAfter implements routing.Env: SendMac after delay d, on a pooled
-// task event (protocol broadcast jitter used to burn one closure + event
-// allocation per flooded hop).
+// SendMacAfter implements routing.Env: SendMac after delay d. The pooled
+// delayedSend is the event's Task, so a jittered flood hop allocates
+// nothing.
 func (n *Node) SendMacAfter(d sim.Duration, p *packet.Packet, next packet.NodeID) {
 	if n.RouteFilter != nil && p.Kind.IsControl() {
 		d = n.RouteFilter.RouteJitter(p, d)
 	}
 	ds := n.dsPool.Get()
 	ds.n, ds.p, ds.next = n, p, next
-	ds.h = n.sched.AfterTaskCancellable(d, ds, 0)
+	ds.h = n.sched.After(d, ds, 0)
 	n.pend = append(n.pend, ds)
 }
 
@@ -333,7 +333,7 @@ func (n *Node) SendMacAfter(d sim.Duration, p *packet.Packet, next packet.NodeID
 func (n *Node) Retire() {
 	for len(n.pend) > 0 {
 		d := n.pend[0]
-		n.sched.CancelTask(d.h)
+		n.sched.Cancel(d.h)
 		n.arena.Release(d.p)
 		n.forgetDelayed(d) // removes d from n.pend
 	}

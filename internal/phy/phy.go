@@ -774,18 +774,18 @@ func (c *Channel) Transmit(tx *Radio, f *packet.Frame, airtime sim.Duration) {
 				for word != 0 {
 					id := w<<6 + bits.TrailingZeros64(word)
 					word &= word - 1
-					c.sched.AfterTask(prop, b, unbatchedArgBase+2*id)
-					c.sched.AfterTask(prop+airtime, b, unbatchedArgBase+2*id+1)
+					c.sched.After(prop, b, unbatchedArgBase+2*id)
+					c.sched.After(prop+airtime, b, unbatchedArgBase+2*id+1)
 				}
 			}
 		} else {
 			b.live = 1
-			c.sched.AfterTask(prop, b, batchStartArg)
-			c.sched.AfterTask(prop+airtime, b, batchEndArg)
+			c.sched.After(prop, b, batchStartArg)
+			c.sched.After(prop+airtime, b, batchEndArg)
 		}
 	}
 
-	c.sched.AfterTask(airtime, tx, radioTxDone)
+	c.sched.After(airtime, tx, radioTxDone)
 }
 
 // hear distance-checks one candidate receiver at position p against the

@@ -12,6 +12,11 @@ import (
 	"mtsim/internal/sim"
 )
 
+// do adapts a closure to sim.Task for ad-hoc test events.
+type do func()
+
+func (f do) Run(int) { f() }
+
 // recorder is a test Listener capturing callbacks.
 type recorder struct {
 	ups, downs int
@@ -103,10 +108,10 @@ func TestCollisionCorruptsBoth(t *testing.T) {
 	victim := &recorder{}
 	c.Attach(2, fixed(200, 0), victim)
 
-	s.At(0, func() { c.Transmit(a, testFrame(0, 2), sim.Millisecond) })
-	s.At(sim.Time(100*sim.Microsecond), func() {
+	s.At(0, do(func() { c.Transmit(a, testFrame(0, 2), sim.Millisecond) }), 0)
+	s.At(sim.Time(100*sim.Microsecond), do(func() {
 		c.Transmit(b, testFrame(1, 2), sim.Millisecond)
-	})
+	}), 0)
 	s.Run()
 
 	// The first frame is delivered corrupted; the second one never began
@@ -126,10 +131,10 @@ func TestNoCollisionWhenSequential(t *testing.T) {
 	victim := &recorder{}
 	c.Attach(1, fixed(100, 0), victim)
 
-	s.At(0, func() { c.Transmit(a, testFrame(0, 1), sim.Millisecond) })
-	s.At(sim.Time(2*sim.Millisecond), func() {
+	s.At(0, do(func() { c.Transmit(a, testFrame(0, 1), sim.Millisecond) }), 0)
+	s.At(sim.Time(2*sim.Millisecond), do(func() {
 		c.Transmit(a, testFrame(0, 1), sim.Millisecond)
-	})
+	}), 0)
 	s.Run()
 
 	if len(victim.frames) != 2 || !victim.oks[0] || !victim.oks[1] {
@@ -148,10 +153,10 @@ func TestHalfDuplexNoDecodeWhileTransmitting(t *testing.T) {
 	b := c.Attach(1, fixed(100, 0), rb)
 
 	// b starts transmitting first; a's frame arrives while b is sending.
-	s.At(0, func() { c.Transmit(b, testFrame(1, 0), 2*sim.Millisecond) })
-	s.At(sim.Time(500*sim.Microsecond), func() {
+	s.At(0, do(func() { c.Transmit(b, testFrame(1, 0), 2*sim.Millisecond) }), 0)
+	s.At(sim.Time(500*sim.Microsecond), do(func() {
 		c.Transmit(a, testFrame(0, 1), sim.Millisecond)
-	})
+	}), 0)
 	s.Run()
 
 	if len(rb.frames) != 0 {
@@ -167,10 +172,10 @@ func TestTransmitCorruptsOwnDecode(t *testing.T) {
 	b := c.Attach(1, fixed(100, 0), rb)
 
 	// a's frame is arriving at b; midway through, b transmits.
-	s.At(0, func() { c.Transmit(a, testFrame(0, 1), 2*sim.Millisecond) })
-	s.At(sim.Time(sim.Millisecond), func() {
+	s.At(0, do(func() { c.Transmit(a, testFrame(0, 1), 2*sim.Millisecond) }), 0)
+	s.At(sim.Time(sim.Millisecond), do(func() {
 		c.Transmit(b, testFrame(1, 0), 100*sim.Microsecond)
-	})
+	}), 0)
 	s.Run()
 
 	if len(rb.frames) != 1 || rb.oks[0] {
@@ -320,7 +325,7 @@ func TestMovingNodeOutOfRangeNotReached(t *testing.T) {
 	})
 	c.Attach(1, pos, rb)
 
-	s.At(0, func() { c.Transmit(a, testFrame(0, 1), sim.Millisecond) })
+	s.At(0, do(func() { c.Transmit(a, testFrame(0, 1), sim.Millisecond) }), 0)
 	s.Run()
 	if len(rb.frames) != 0 {
 		t.Fatal("frame reached a node that was out of range at tx start")
@@ -526,21 +531,21 @@ func TestSubscribeInsideLastBitWalkMatchesCounters(t *testing.T) {
 			ls[3].subscribe(false)
 		}
 		send := func(at sim.Duration, tx int) {
-			s.At(sim.Time(at), func() {
+			s.At(sim.Time(at), do(func() {
 				c.Transmit(ls[tx].r, testFrame(packet.NodeID(tx), packet.Broadcast), sim.Millisecond)
-			})
+			}), 0)
 		}
 		send(0, 0)
 		send(500*sim.Microsecond, 5)
 		send(2*sim.Millisecond, 0)
 		for at := sim.Duration(0); at < 4*sim.Millisecond; at += 50 * sim.Microsecond {
-			s.At(sim.Time(at), func() {
+			s.At(sim.Time(at), do(func() {
 				busy := make([]bool, len(ls))
 				for i, l := range ls {
 					busy[i] = l.r.Busy()
 				}
 				log = append(log, fmt.Sprintf("%d busy %v", s.Now(), busy))
-			})
+			}), 0)
 		}
 		s.Run()
 		return log

@@ -108,10 +108,12 @@ type routeEntry struct {
 	expiry   sim.Time
 }
 
+// discovery is one in-flight route discovery and the Task of its timeout.
 type discovery struct {
+	r          *Router
 	ttl        int // current ring TTL
 	fullFloods int // attempts at NetDiameter TTL
-	timer      *sim.Event
+	timer      sim.TaskHandle
 }
 
 // Router is one node's AODV instance.
@@ -323,7 +325,7 @@ func (r *Router) startDiscovery(dst packet.NodeID) {
 	if _, busy := r.pending[dst]; busy {
 		return
 	}
-	d := &discovery{ttl: r.initialTTL(dst)}
+	d := &discovery{r: r, ttl: r.initialTTL(dst)}
 	r.pending[dst] = d
 	r.attempt(dst, d)
 }
@@ -372,25 +374,29 @@ func (r *Router) attempt(dst packet.NodeID, d *discovery) {
 		// Full-diameter attempts back off exponentially (draft §8.3).
 		timeout <<= d.fullFloods
 	}
-	d.timer = r.env.Scheduler().After(timeout, func() {
-		if r.route(dst) != nil {
+	d.timer = r.env.Scheduler().After(timeout, d, int(dst))
+}
+
+// Run implements sim.Task: the discovery for dst (arg) timed out.
+func (d *discovery) Run(arg int) {
+	r, dst := d.r, packet.NodeID(arg)
+	if r.route(dst) != nil {
+		delete(r.pending, dst)
+		return
+	}
+	if d.ttl >= r.cfg.NetDiameter {
+		d.fullFloods++
+		if d.fullFloods > r.cfg.RREQRetries {
 			delete(r.pending, dst)
+			r.buffer.DropAll(dst)
 			return
 		}
-		if d.ttl >= r.cfg.NetDiameter {
-			d.fullFloods++
-			if d.fullFloods > r.cfg.RREQRetries {
-				delete(r.pending, dst)
-				r.buffer.DropAll(dst)
-				return
-			}
-		} else if d.ttl >= r.cfg.TTLThreshold {
-			d.ttl = r.cfg.NetDiameter
-		} else {
-			d.ttl += r.cfg.TTLIncrement
-		}
-		r.attempt(dst, d)
-	})
+	} else if d.ttl >= r.cfg.TTLThreshold {
+		d.ttl = r.cfg.NetDiameter
+	} else {
+		d.ttl += r.cfg.TTLIncrement
+	}
+	r.attempt(dst, d)
 }
 
 // Receive implements routing.Protocol.
@@ -509,9 +515,7 @@ func (r *Router) handleRREP(p *packet.Packet, from packet.NodeID) {
 
 func (r *Router) completeDiscovery(dst packet.NodeID) {
 	if d, ok := r.pending[dst]; ok {
-		if d.timer != nil {
-			r.env.Scheduler().Cancel(d.timer)
-		}
+		r.env.Scheduler().Cancel(d.timer)
 		delete(r.pending, dst)
 	}
 	e := r.route(dst)

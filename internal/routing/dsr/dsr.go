@@ -76,9 +76,11 @@ type RERR struct {
 	From, To packet.NodeID
 }
 
+// discovery is one in-flight route discovery and the Task of its timeout.
 type discovery struct {
+	r        *Router
 	attempts int
-	timer    *sim.Event
+	timer    sim.TaskHandle
 }
 
 // Router is one node's DSR instance.
@@ -219,7 +221,7 @@ func (r *Router) startDiscovery(dst packet.NodeID) {
 	if _, busy := r.pending[dst]; busy {
 		return
 	}
-	d := &discovery{}
+	d := &discovery{r: r}
 	r.pending[dst] = d
 	r.attempt(dst, d)
 }
@@ -246,26 +248,28 @@ func (r *Router) attempt(dst packet.NodeID, d *discovery) {
 	if backoff > r.cfg.BackoffMax {
 		backoff = r.cfg.BackoffMax
 	}
-	d.timer = r.env.Scheduler().After(backoff, func() {
-		if r.cache.Get(dst) != nil {
-			delete(r.pending, dst)
-			return
-		}
-		if d.attempts >= r.cfg.DiscoveryRetries {
-			delete(r.pending, dst)
-			r.buffer.DropAll(dst)
-			return
-		}
-		r.attempt(dst, d)
-	})
+	d.timer = r.env.Scheduler().After(backoff, d, int(dst))
+}
+
+// Run implements sim.Task: the discovery for dst (arg) timed out.
+func (d *discovery) Run(arg int) {
+	r, dst := d.r, packet.NodeID(arg)
+	if r.cache.Get(dst) != nil {
+		delete(r.pending, dst)
+		return
+	}
+	if d.attempts >= r.cfg.DiscoveryRetries {
+		delete(r.pending, dst)
+		r.buffer.DropAll(dst)
+		return
+	}
+	r.attempt(dst, d)
 }
 
 // completeDiscovery flushes buffered traffic once a route exists.
 func (r *Router) completeDiscovery(dst packet.NodeID) {
 	if d, ok := r.pending[dst]; ok {
-		if d.timer != nil {
-			r.env.Scheduler().Cancel(d.timer)
-		}
+		r.env.Scheduler().Cancel(d.timer)
 		delete(r.pending, dst)
 	}
 	if r.cache.Get(dst) == nil {

@@ -66,8 +66,17 @@ func (e *Env) SendMac(p *packet.Packet, next packet.NodeID) {
 // SendMacAfter implements routing.Env: the send is recorded when the
 // shared scheduler reaches now+d.
 func (e *Env) SendMacAfter(d sim.Duration, p *packet.Packet, next packet.NodeID) {
-	e.Sched.After(d, func() { e.SendMac(p, next) })
+	e.Sched.After(d, &delayedSend{e: e, s: Sent{P: p, Next: next}}, 0)
 }
+
+// delayedSend is the Task of one SendMacAfter.
+type delayedSend struct {
+	e *Env
+	s Sent
+}
+
+// Run implements sim.Task.
+func (d *delayedSend) Run(int) { d.e.SendMac(d.s.P, d.s.Next) }
 
 // DropQueued implements routing.Env (the fake has no queue).
 func (e *Env) DropQueued(func(p *packet.Packet, next packet.NodeID) bool) int { return 0 }

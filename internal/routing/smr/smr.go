@@ -97,18 +97,28 @@ type rreqSeen struct {
 	count     int
 }
 
-// collectState is the destination's per-request selection window.
+// collectState is the destination's per-request selection window; it is
+// the Task of the window's timer, whose argument is the originator.
 type collectState struct {
+	r       *Router
 	id      uint32
 	first   []packet.NodeID
 	others  [][]packet.NodeID
-	timer   *sim.Event
+	timer   sim.TaskHandle
 	replied bool
 }
 
+// Run implements sim.Task: the selection window closes.
+func (cs *collectState) Run(orig int) {
+	cs.timer = sim.TaskHandle{}
+	cs.r.selectSecond(packet.NodeID(orig), cs)
+}
+
+// discovery is one in-flight route discovery and the Task of its timeout.
 type discovery struct {
+	r        *Router
 	attempts int
-	timer    *sim.Event
+	timer    sim.TaskHandle
 }
 
 // Router is one node's SMR instance.
@@ -327,7 +337,7 @@ func (r *Router) startDiscovery(dst packet.NodeID) {
 	if _, busy := r.pending[dst]; busy {
 		return
 	}
-	d := &discovery{}
+	d := &discovery{r: r}
 	r.pending[dst] = d
 	r.attempt(dst, d)
 }
@@ -351,18 +361,22 @@ func (r *Router) attempt(dst packet.NodeID, d *discovery) {
 	r.env.SendMac(p, packet.Broadcast)
 
 	timeout := r.cfg.DiscoveryTimeout << (d.attempts - 1)
-	d.timer = r.env.Scheduler().After(timeout, func() {
-		if rs := r.routes[dst]; rs != nil && len(rs.routes) > 0 {
-			delete(r.pending, dst)
-			return
-		}
-		if d.attempts >= r.cfg.DiscoveryRetries {
-			delete(r.pending, dst)
-			r.buffer.DropAll(dst)
-			return
-		}
-		r.attempt(dst, d)
-	})
+	d.timer = r.env.Scheduler().After(timeout, d, int(dst))
+}
+
+// Run implements sim.Task: the discovery for dst (arg) timed out.
+func (d *discovery) Run(arg int) {
+	r, dst := d.r, packet.NodeID(arg)
+	if rs := r.routes[dst]; rs != nil && len(rs.routes) > 0 {
+		delete(r.pending, dst)
+		return
+	}
+	if d.attempts >= r.cfg.DiscoveryRetries {
+		delete(r.pending, dst)
+		r.buffer.DropAll(dst)
+		return
+	}
+	r.attempt(dst, d)
 }
 
 // Receive implements routing.Protocol.
@@ -427,16 +441,13 @@ func (r *Router) rreqAtDestination(h *RREQ) {
 	route := append(packet.CloneRoute(h.Record), self)
 	cs := r.collect[h.Orig]
 	if cs == nil || cs.id != h.ID {
-		if cs != nil && cs.timer != nil {
+		if cs != nil {
 			r.env.Scheduler().Cancel(cs.timer)
 		}
-		cs = &collectState{id: h.ID, first: route, replied: true}
+		cs = &collectState{r: r, id: h.ID, first: route, replied: true}
 		r.collect[h.Orig] = cs
 		r.sendRREP(route, 0, h.ID)
-		cs.timer = r.env.Scheduler().After(r.cfg.SelectWait, func() {
-			cs.timer = nil
-			r.selectSecond(h.Orig, cs)
-		})
+		cs.timer = r.env.Scheduler().After(r.cfg.SelectWait, cs, int(h.Orig))
 		return
 	}
 	cs.others = append(cs.others, route)
@@ -530,9 +541,7 @@ func (r *Router) handleRREP(p *packet.Packet, from packet.NodeID) {
 
 func (r *Router) completeDiscovery(dst packet.NodeID) {
 	if d, ok := r.pending[dst]; ok {
-		if d.timer != nil {
-			r.env.Scheduler().Cancel(d.timer)
-		}
+		r.env.Scheduler().Cancel(d.timer)
 		delete(r.pending, dst)
 	}
 	rs := r.routes[dst]

@@ -1,64 +1,38 @@
 package sim
 
-// Event is a scheduled callback. Events are created through Scheduler.At /
-// Scheduler.After and may be cancelled; a cancelled event is skipped when its
-// time comes. The zero Event is not valid.
-//
-// Events come in two flavours:
-//
-//   - Closure events (At / After) carry a func() and return a handle the
-//     caller may keep for Cancel / Reschedule. They are never recycled, so
-//     a retained *Event stays valid after it fires.
-//   - Task events (AtTask / AfterTask) carry a Task plus a small integer
-//     argument and are fire-and-forget: no handle is returned and the Event
-//     is recycled into a free list the moment it leaves the heap. They cost
-//     zero steady-state allocations, which is what the PHY broadcast hot
-//     path needs: two batched arrival events per frame (first-bit and
-//     last-bit, each iterating the whole receiver batch), or two events
-//     per receiver per frame in the unbatched reference mode. Either way
-//     one executed event may deliver to many radios — Executed counts
-//     scheduler dispatches, not per-receiver deliveries.
-type Event struct {
-	at        Time
-	seq       uint64 // creation order; breaks ties deterministically (FIFO)
-	fn        func()
-	task      Task
-	arg       int
-	index     int // heap index, -1 once popped
-	cancelled bool
-	pooled    bool // recycle into the free list once fired
+// event is one scheduled Task invocation. Every event comes from the
+// scheduler's free list and goes back to it the moment it leaves the heap
+// (fired, cancelled or dropped by Reset), so steady-state scheduling costs
+// no allocation. That matters most on the PHY broadcast hot path: two
+// batched arrival events per frame (first-bit and last-bit, each iterating
+// the whole receiver batch), or two events per receiver per frame in the
+// unbatched reference mode. Either way one executed event may deliver to
+// many radios — Executed counts scheduler dispatches, not per-receiver
+// deliveries.
+type event struct {
+	at    Time
+	seq   uint64 // creation order; breaks ties deterministically (FIFO)
+	task  Task
+	arg   int
+	index int // heap index, -1 once popped
 }
 
-// Task is the allocation-free alternative to a closure: a long-lived object
-// whose Run method is invoked when the event fires. The integer argument
-// lets one object serve several event kinds (e.g. frame-arrival start and
-// end) without per-event state.
+// Task is what an event runs: a long-lived object whose Run method is
+// invoked when the event fires. The integer argument lets one object serve
+// several event kinds (e.g. frame-arrival start and end) or several peers
+// (e.g. a router's per-destination timers) without per-event state.
 type Task interface {
 	Run(arg int)
 }
 
-// At reports the virtual time the event is scheduled for.
-func (e *Event) At() Time { return e.at }
-
-// Cancelled reports whether Cancel was called on the event.
-func (e *Event) Cancelled() bool { return e.cancelled }
-
-func (e *Event) dispatch() {
-	if e.task != nil {
-		e.task.Run(e.arg)
-		return
-	}
-	e.fn()
-}
-
 // heapEntry is one slot of the event queue. The ordering key (at, seq) is
 // stored inline so that sift comparisons stay within the backing array
-// instead of chasing *Event pointers — the queue is the simulator's hottest
+// instead of chasing *event pointers — the queue is the simulator's hottest
 // data structure.
 type heapEntry struct {
 	at  Time
 	seq uint64
-	ev  *Event
+	ev  *event
 }
 
 // eventHeap is a hand-rolled 4-ary min-heap ordered by (at, seq). A wider
@@ -116,7 +90,7 @@ func (h eventHeap) siftDown(i int) {
 	entry.ev.index = i
 }
 
-func (h *eventHeap) push(e *Event) {
+func (h *eventHeap) push(e *event) {
 	*h = append(*h, heapEntry{at: e.at, seq: e.seq, ev: e})
 	h.siftUp(len(*h) - 1)
 }
@@ -125,7 +99,7 @@ func (h *eventHeap) push(e *Event) {
 // deletion was tried here and measured slower: short-lived arrival events
 // keep the tail entries young, so the classic sift-down's early exit beats
 // the unconditional hole-to-leaf walk.)
-func (h *eventHeap) popMin() *Event {
+func (h *eventHeap) popMin() *event {
 	old := *h
 	e := old[0].ev
 	n := len(old) - 1
@@ -157,12 +131,12 @@ func (h *eventHeap) remove(i int) {
 }
 
 // Scheduler is a discrete-event scheduler: a priority queue of timestamped
-// callbacks executed in (time, insertion-order) order while a virtual clock
-// advances. It is not safe for concurrent use; a simulation owns exactly one
-// scheduler and runs on one goroutine.
+// Task invocations executed in (time, insertion-order) order while a
+// virtual clock advances. It is not safe for concurrent use; a simulation
+// owns exactly one scheduler and runs on one goroutine.
 type Scheduler struct {
 	heap    eventHeap
-	free    []*Event // recycled task events (fire-and-forget, no handles)
+	free    []*event // recycled events
 	now     Time
 	seq     uint64
 	stopped bool
@@ -179,81 +153,26 @@ func NewScheduler() *Scheduler {
 // Now returns the current virtual time.
 func (s *Scheduler) Now() Time { return s.now }
 
-// Len returns the number of pending (non-cancelled) events, counting
-// cancelled-but-unpopped events too; it is intended for tests and stats.
+// Len returns the number of pending events (tests and stats). Cancel
+// removes an event from the queue at once, so every counted event will
+// fire unless it is cancelled later.
 func (s *Scheduler) Len() int { return len(s.heap) }
 
 // Scheduled returns how many events have been scheduled on s so far, which
 // is the tie-break sequence number the next one takes (tests and stats).
 func (s *Scheduler) Scheduled() uint64 { return s.seq }
 
-// FreeListLen reports the size of the task-event free list (tests/stats).
+// FreeListLen reports the size of the event free list (tests/stats).
 func (s *Scheduler) FreeListLen() int { return len(s.free) }
 
-// At schedules fn to run at virtual time t. Scheduling in the past panics:
-// it indicates a logic error in the calling model, and silently reordering
-// events would destroy causality.
-func (s *Scheduler) At(t Time, fn func()) *Event {
-	if t < s.now {
-		panic("sim: event scheduled in the past")
-	}
-	e := &Event{at: t, seq: s.seq, fn: fn}
-	s.seq++
-	s.heap.push(e)
-	return e
-}
-
-// After schedules fn to run d after the current time.
-func (s *Scheduler) After(d Duration, fn func()) *Event {
-	if d < 0 {
-		panic("sim: negative delay")
-	}
-	return s.At(s.now.Add(d), fn)
-}
-
-// AtTask schedules task.Run(arg) at virtual time t using a pooled Event.
-// The event is fire-and-forget: it cannot be cancelled or rescheduled (no
-// handle is returned) and its Event struct is recycled once it fires, so
-// steady-state scheduling through this path does not allocate.
-func (s *Scheduler) AtTask(t Time, task Task, arg int) {
-	s.atTask(t, task, arg)
-}
-
-func (s *Scheduler) atTask(t Time, task Task, arg int) *Event {
-	if t < s.now {
-		panic("sim: event scheduled in the past")
-	}
-	var e *Event
-	if n := len(s.free); n > 0 {
-		e = s.free[n-1]
-		s.free[n-1] = nil
-		s.free = s.free[:n-1]
-	} else {
-		e = &Event{}
-	}
-	*e = Event{at: t, seq: s.seq, task: task, arg: arg, pooled: true}
-	s.seq++
-	s.heap.push(e)
-	return e
-}
-
-// AfterTask schedules task.Run(arg) to run d after the current time; see
-// AtTask for the pooling contract.
-func (s *Scheduler) AfterTask(d Duration, task Task, arg int) {
-	if d < 0 {
-		panic("sim: negative delay")
-	}
-	s.AtTask(s.now.Add(d), task, arg)
-}
-
-// TaskHandle is a revocation token for a cancellable pooled task event. It
-// pairs the Event pointer with the globally unique sequence number the
-// event was created with, so a handle kept past the event's firing (and the
-// Event struct's recycling into another event) is detected and ignored
-// rather than cancelling an unrelated event. The zero TaskHandle refers to
-// nothing; Pending reports false for it.
+// TaskHandle is a revocation token for a scheduled event. It pairs the
+// event with the globally unique sequence number it was created with, so a
+// handle kept past the event's firing (and the event struct's recycling
+// into another event) is detected and ignored rather than cancelling an
+// unrelated event. The zero TaskHandle refers to nothing; Pending reports
+// false for it.
 type TaskHandle struct {
-	ev  *Event
+	ev  *event
 	seq uint64
 }
 
@@ -262,88 +181,56 @@ type TaskHandle struct {
 // their handle when the task runs (the task's Run is the notification).
 func (h TaskHandle) Pending() bool { return h.ev != nil }
 
-// AtTaskCancellable is AtTask returning a revocation handle for timer-style
-// users (one outstanding event, frequently cancelled or superseded). The
-// event is pooled exactly like AtTask's.
-func (s *Scheduler) AtTaskCancellable(t Time, task Task, arg int) TaskHandle {
-	e := s.atTask(t, task, arg)
+// At schedules task.Run(arg) at virtual time t and returns a handle for
+// Cancel, which callers that never cancel may ignore. Scheduling in the
+// past panics: it indicates a logic error in the calling model, and
+// silently reordering events would destroy causality.
+func (s *Scheduler) At(t Time, task Task, arg int) TaskHandle {
+	if t < s.now {
+		panic("sim: event scheduled in the past")
+	}
+	var e *event
+	if n := len(s.free); n > 0 {
+		e = s.free[n-1]
+		s.free[n-1] = nil
+		s.free = s.free[:n-1]
+	} else {
+		e = &event{}
+	}
+	*e = event{at: t, seq: s.seq, task: task, arg: arg}
+	s.seq++
+	s.heap.push(e)
 	return TaskHandle{ev: e, seq: e.seq}
 }
 
-// AfterTaskCancellable is AfterTask returning a revocation handle.
-func (s *Scheduler) AfterTaskCancellable(d Duration, task Task, arg int) TaskHandle {
+// After schedules task.Run(arg) to run d after the current time; see At.
+func (s *Scheduler) After(d Duration, task Task, arg int) TaskHandle {
 	if d < 0 {
 		panic("sim: negative delay")
 	}
-	return s.AtTaskCancellable(s.now.Add(d), task, arg)
+	return s.At(s.now.Add(d), task, arg)
 }
 
-// CancelTask revokes a pooled task event. Stale handles — the event already
-// fired, was cancelled, or its struct was recycled for a newer event — are
-// detected by the sequence check and ignored, so CancelTask can never
-// corrupt the free list or cancel the wrong event.
-func (s *Scheduler) CancelTask(h TaskHandle) {
+// Cancel revokes a scheduled event, removing it from the queue at once.
+// Stale handles — the event already fired, was cancelled, or its struct was
+// recycled for a newer event — are detected by the sequence check and
+// ignored, as is the zero handle, so Cancel can never corrupt the free
+// list or cancel the wrong event.
+func (s *Scheduler) Cancel(h TaskHandle) {
 	e := h.ev
-	if e == nil || !e.pooled || e.seq != h.seq || e.index < 0 {
+	if e == nil || e.seq != h.seq || e.index < 0 {
 		return
 	}
 	s.heap.remove(e.index)
 	s.recycle(e)
 }
 
-// recycle returns a popped task event to the free list. Closure events are
-// never recycled: callers may retain their handles indefinitely, and a
-// recycled handle would alias a future, unrelated event.
-func (s *Scheduler) recycle(e *Event) {
-	if !e.pooled {
-		return
-	}
+// recycle returns an event that has left the heap to the free list.
+func (s *Scheduler) recycle(e *event) {
 	// The sentinel seq makes any retained TaskHandle to this event provably
 	// stale while it sits in the free list (the seq counter never reaches it).
-	*e = Event{index: -1, seq: ^uint64(0)}
+	*e = event{index: -1, seq: ^uint64(0)}
 	s.free = append(s.free, e)
-}
-
-// Cancel marks the event so it will not fire. Cancelling an already-fired or
-// already-cancelled event is a no-op. The event is removed from the queue
-// immediately to keep the heap small in timer-heavy workloads.
-func (s *Scheduler) Cancel(e *Event) {
-	if e == nil || e.cancelled {
-		return
-	}
-	if e.index < 0 {
-		// Already fired. Closure events keep their identity after firing,
-		// so marking them cancelled preserves the historical Cancelled()
-		// contract; there is nothing to remove from the heap.
-		e.cancelled = true
-		return
-	}
-	e.cancelled = true
-	s.heap.remove(e.index)
-	s.recycle(e)
-}
-
-// Reschedule cancels e and returns a fresh event running the same callback
-// at the new time. It is a convenience for restartable timers.
-//
-// It is defensive about event lifecycle so that timer code cannot corrupt
-// the scheduler: rescheduling a nil event returns nil; rescheduling an
-// event that has already fired (index == -1) creates a fresh event from the
-// retained callback without touching the heap or the free list; and
-// rescheduling a pooled task event panics, because a fired task event may
-// already have been recycled and reused for an unrelated event, so the
-// request is not meaningful (task events hand out no handles, so this can
-// only happen through a scheduler bug).
-func (s *Scheduler) Reschedule(e *Event, t Time) *Event {
-	if e == nil {
-		return nil
-	}
-	if e.pooled {
-		panic("sim: reschedule of a pooled task event")
-	}
-	fn := e.fn
-	s.Cancel(e)
-	return s.At(t, fn)
 }
 
 // Step executes the single earliest pending event, advancing the clock to
@@ -353,12 +240,16 @@ func (s *Scheduler) Step() bool {
 	if len(s.heap) == 0 {
 		return false
 	}
-	e := s.heap.popMin()
+	s.fire(s.heap.popMin())
+	return true
+}
+
+// fire advances the clock to a popped event, runs it and recycles it.
+func (s *Scheduler) fire(e *event) {
 	s.now = e.at
 	s.Executed++
-	e.dispatch()
+	e.task.Run(e.arg)
 	s.recycle(e)
-	return true
 }
 
 // RunUntil executes events in order until the queue is empty or the next
@@ -370,11 +261,7 @@ func (s *Scheduler) RunUntil(horizon Time) {
 		if s.heap[0].at > horizon {
 			break
 		}
-		e := s.heap.popMin()
-		s.now = e.at
-		s.Executed++
-		e.dispatch()
-		s.recycle(e)
+		s.fire(s.heap.popMin())
 	}
 	if s.now < horizon {
 		s.now = horizon
@@ -397,11 +284,7 @@ func (s *Scheduler) RunUntilBudget(horizon Time, budget uint64) bool {
 		if s.heap[0].at > horizon {
 			break
 		}
-		e := s.heap.popMin()
-		s.now = e.at
-		s.Executed++
-		e.dispatch()
-		s.recycle(e)
+		s.fire(s.heap.popMin())
 		budget--
 	}
 	done := len(s.heap) == 0 || s.heap[0].at > horizon
@@ -424,25 +307,22 @@ func (s *Scheduler) Stop() { s.stopped = true }
 
 // Reset returns the scheduler to its freshly-constructed state — clock at
 // zero, no pending events — while keeping the heap's backing array and
-// the task-event free list. Pending pooled task events are recycled into
-// the free list (their Task references cleared so nothing from the
-// previous simulation is pinned); pending closure events are dropped
-// (their retained handles stay valid but refer to a dead simulation).
+// the event free list. Pending events are recycled into the free list
+// (their Task references cleared so nothing from the previous simulation
+// is pinned).
 //
 // The sequence counter deliberately keeps counting across Reset: only the
 // relative order of seq values is observable (FIFO tie-breaking among
 // same-time events), so continuing the count changes no behaviour, while
 // restarting it would let a TaskHandle retained across Reset alias a
-// recycled Event re-issued under the same seq — voiding CancelTask's
+// recycled event re-issued under the same seq — voiding Cancel's
 // stale-handle guarantee. A Reset scheduler is therefore observationally
 // indistinguishable from NewScheduler's, which is what lets a worker
 // reuse one scheduler across runs without perturbing a single bit of the
 // results (scenario.Context relies on this).
 func (s *Scheduler) Reset() {
 	for i := range s.heap {
-		e := s.heap[i].ev
-		e.index = -1
-		s.recycle(e) // no-op for closure events
+		s.recycle(s.heap[i].ev)
 		s.heap[i] = heapEntry{}
 	}
 	s.heap = s.heap[:0]

@@ -29,12 +29,17 @@ func TestTimeConversions(t *testing.T) {
 	}
 }
 
+// do adapts a closure to Task for ad-hoc test events.
+type do func()
+
+func (f do) Run(int) { f() }
+
 func TestSchedulerOrdersByTime(t *testing.T) {
 	s := NewScheduler()
 	var got []int
-	s.At(3*Time(Second), func() { got = append(got, 3) })
-	s.At(1*Time(Second), func() { got = append(got, 1) })
-	s.At(2*Time(Second), func() { got = append(got, 2) })
+	s.At(3*Time(Second), do(func() { got = append(got, 3) }), 0)
+	s.At(1*Time(Second), do(func() { got = append(got, 1) }), 0)
+	s.At(2*Time(Second), do(func() { got = append(got, 2) }), 0)
 	s.Run()
 	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
 		t.Fatalf("order = %v", got)
@@ -46,12 +51,15 @@ func TestSchedulerOrdersByTime(t *testing.T) {
 
 func TestSchedulerFIFOTieBreak(t *testing.T) {
 	s := NewScheduler()
-	var got []int
+	tr := &taskRec{}
 	for i := 0; i < 10; i++ {
-		i := i
-		s.At(Time(Second), func() { got = append(got, i) })
+		s.At(Time(Second), tr, i)
 	}
 	s.Run()
+	got := tr.got
+	if len(got) != 10 {
+		t.Fatalf("ran %d of 10 events", len(got))
+	}
 	for i, v := range got {
 		if v != i {
 			t.Fatalf("same-time events reordered: %v", got)
@@ -62,41 +70,34 @@ func TestSchedulerFIFOTieBreak(t *testing.T) {
 func TestSchedulerCancel(t *testing.T) {
 	s := NewScheduler()
 	fired := false
-	e := s.At(Time(Second), func() { fired = true })
-	s.Cancel(e)
-	s.Cancel(e) // double-cancel is a no-op
+	h := s.At(Time(Second), do(func() { fired = true }), 0)
+	if !h.Pending() {
+		t.Fatal("At returned a zero handle")
+	}
+	s.Cancel(h)
+	s.Cancel(h)            // double-cancel is a no-op
+	s.Cancel(TaskHandle{}) // so is the zero handle
+	if s.Len() != 0 {
+		t.Fatalf("cancelled event still queued: Len = %d", s.Len())
+	}
+	if s.FreeListLen() != 1 {
+		t.Fatalf("cancelled event not recycled: free list %d", s.FreeListLen())
+	}
 	s.Run()
 	if fired {
 		t.Fatal("cancelled event fired")
-	}
-	if !e.Cancelled() {
-		t.Fatal("Cancelled() not reported")
 	}
 }
 
 func TestSchedulerCancelDuringRun(t *testing.T) {
 	s := NewScheduler()
 	fired := false
-	var e2 *Event
-	s.At(Time(Second), func() { s.Cancel(e2) })
-	e2 = s.At(2*Time(Second), func() { fired = true })
+	var h2 TaskHandle
+	s.At(Time(Second), do(func() { s.Cancel(h2) }), 0)
+	h2 = s.At(2*Time(Second), do(func() { fired = true }), 0)
 	s.Run()
 	if fired {
 		t.Fatal("event cancelled mid-run still fired")
-	}
-}
-
-func TestSchedulerReschedule(t *testing.T) {
-	s := NewScheduler()
-	var at Time
-	e := s.At(Time(Second), func() { at = s.Now() })
-	e = s.Reschedule(e, 5*Time(Second))
-	s.Run()
-	if at != 5*Time(Second) {
-		t.Fatalf("rescheduled event fired at %v", at)
-	}
-	if e.At() != 5*Time(Second) {
-		t.Fatalf("At() = %v", e.At())
 	}
 }
 
@@ -105,7 +106,7 @@ func TestSchedulerRunUntilHorizon(t *testing.T) {
 	var got []Time
 	for i := 1; i <= 5; i++ {
 		i := i
-		s.At(Time(i)*Time(Second), func() { got = append(got, s.Now()) })
+		s.At(Time(i)*Time(Second), do(func() { got = append(got, s.Now()) }), 0)
 	}
 	s.RunUntil(3 * Time(Second))
 	if len(got) != 3 {
@@ -128,12 +129,12 @@ func TestSchedulerStop(t *testing.T) {
 	s := NewScheduler()
 	count := 0
 	for i := 0; i < 10; i++ {
-		s.At(Time(i)*Time(Second), func() {
+		s.At(Time(i)*Time(Second), do(func() {
 			count++
 			if count == 4 {
 				s.Stop()
 			}
-		})
+		}), 0)
 	}
 	s.Run()
 	if count != 4 {
@@ -143,14 +144,14 @@ func TestSchedulerStop(t *testing.T) {
 
 func TestSchedulerPastPanics(t *testing.T) {
 	s := NewScheduler()
-	s.At(Time(Second), func() {})
+	s.At(Time(Second), &taskRec{}, 0)
 	s.Run()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("scheduling in the past did not panic")
 		}
 	}()
-	s.At(0, func() {})
+	s.At(0, &taskRec{}, 0)
 }
 
 func TestSchedulerNegativeDelayPanics(t *testing.T) {
@@ -160,15 +161,15 @@ func TestSchedulerNegativeDelayPanics(t *testing.T) {
 			t.Fatal("negative delay did not panic")
 		}
 	}()
-	s.After(-1, func() {})
+	s.After(-1, &taskRec{}, 0)
 }
 
 func TestSchedulerNestedScheduling(t *testing.T) {
 	s := NewScheduler()
 	var got []Time
-	s.At(Time(Second), func() {
-		s.After(Duration(Second), func() { got = append(got, s.Now()) })
-	})
+	s.At(Time(Second), do(func() {
+		s.After(Duration(Second), do(func() { got = append(got, s.Now()) }), 0)
+	}), 0)
 	s.Run()
 	if len(got) != 1 || got[0] != 2*Time(Second) {
 		t.Fatalf("nested event: %v", got)
@@ -187,8 +188,7 @@ func TestSchedulerOrderProperty(t *testing.T) {
 		var fired []rec
 		for i, v := range raw {
 			at := Time(v) * Time(Microsecond)
-			i := i
-			s.At(at, func() { fired = append(fired, rec{at, i}) })
+			s.At(at, do(func() { fired = append(fired, rec{at, i}) }), 0)
 		}
 		s.Run()
 		if len(fired) != len(raw) {
@@ -212,10 +212,9 @@ func TestSchedulerCancelProperty(t *testing.T) {
 	f := func(times []uint16, mask []bool) bool {
 		s := NewScheduler()
 		fired := map[int]bool{}
-		events := make([]*Event, len(times))
+		events := make([]TaskHandle, len(times))
 		for i, v := range times {
-			i := i
-			events[i] = s.At(Time(v), func() { fired[i] = true })
+			events[i] = s.At(Time(v), do(func() { fired[i] = true }), 0)
 		}
 		cancelled := map[int]bool{}
 		for i := range events {
@@ -349,17 +348,17 @@ func (t *taskRec) Run(arg int) { t.got = append(t.got, arg) }
 func TestSchedulerTaskEventsDispatchInOrder(t *testing.T) {
 	s := NewScheduler()
 	tr := &taskRec{}
-	var closures []int
-	s.AtTask(2*Time(Second), tr, 2)
-	s.At(Time(Second), func() { closures = append(closures, 1) })
-	s.AtTask(Time(Second), tr, 1) // same time as the closure, scheduled later
-	s.AfterTask(Duration(3*Second), tr, 3)
+	seen := -1 // len(tr.got) when the adapter ran
+	s.At(2*Time(Second), tr, 2)
+	s.At(Time(Second), do(func() { seen = len(tr.got) }), 0)
+	s.At(Time(Second), tr, 1) // same time as the adapter, scheduled later
+	s.After(Duration(3*Second), tr, 3)
 	s.Run()
 	if len(tr.got) != 3 || tr.got[0] != 1 || tr.got[1] != 2 || tr.got[2] != 3 {
 		t.Fatalf("task args = %v", tr.got)
 	}
-	if len(closures) != 1 {
-		t.Fatalf("closure events = %v", closures)
+	if seen != 0 {
+		t.Fatalf("same-time events out of FIFO order: adapter saw %d task runs, want 0", seen)
 	}
 	if s.Executed != 4 {
 		t.Fatalf("Executed = %d, want 4", s.Executed)
@@ -370,7 +369,7 @@ func TestSchedulerTaskEventPoolReuse(t *testing.T) {
 	s := NewScheduler()
 	tr := &taskRec{}
 	for i := 0; i < 100; i++ {
-		s.AfterTask(Duration(Millisecond), tr, i)
+		s.After(Duration(Millisecond), tr, i)
 		s.Step()
 	}
 	if len(tr.got) != 100 {
@@ -386,10 +385,10 @@ func TestSchedulerTaskEventZeroAllocSteadyState(t *testing.T) {
 	s := NewScheduler()
 	tr := &taskRec{got: make([]int, 0, 4096)}
 	// Warm up the pool.
-	s.AfterTask(0, tr, 0)
+	s.After(0, tr, 0)
 	s.Step()
 	allocs := testing.AllocsPerRun(1000, func() {
-		s.AfterTask(Duration(Millisecond), tr, 0)
+		s.After(Duration(Millisecond), tr, 0)
 		s.Step()
 	})
 	if allocs != 0 {
@@ -397,69 +396,47 @@ func TestSchedulerTaskEventZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
-// Regression test for the pooled-scheduler lifecycle: rescheduling an event
-// that has already fired must create a fresh, working event and must not
-// touch the task-event free list (a stale *Event must never corrupt it).
-func TestSchedulerRescheduleAfterFired(t *testing.T) {
-	s := NewScheduler()
-	runs := 0
-	e := s.At(Time(Second), func() { runs++ })
-	s.Run()
-	if runs != 1 || e.index != -1 {
-		t.Fatalf("precondition: runs=%d index=%d", runs, e.index)
-	}
-	// Mix some pooled traffic in so a corrupted free list would be visible.
-	tr := &taskRec{}
-	s.AfterTask(Duration(Millisecond), tr, 7)
-	s.Step()
-	before := s.FreeListLen()
-
-	e2 := s.Reschedule(e, 5*Time(Second))
-	if e2 == nil || e2 == e {
-		t.Fatalf("Reschedule of fired event returned %v", e2)
-	}
-	s.Run()
-	if runs != 2 {
-		t.Fatalf("rescheduled fired event ran %d times, want 2", runs)
-	}
-	if s.FreeListLen() != before {
-		t.Fatalf("free list changed: %d -> %d", before, s.FreeListLen())
-	}
-}
-
-func TestSchedulerRescheduleNil(t *testing.T) {
-	s := NewScheduler()
-	if got := s.Reschedule(nil, Time(Second)); got != nil {
-		t.Fatalf("Reschedule(nil) = %v", got)
-	}
-}
-
-func TestSchedulerReschedulePooledPanics(t *testing.T) {
-	s := NewScheduler()
-	s.AtTask(Time(Second), &taskRec{}, 0)
-	e := s.heap[0].ev // white box: task events hand out no handles
-	defer func() {
-		if recover() == nil {
-			t.Fatal("rescheduling a pooled task event did not panic")
-		}
-	}()
-	s.Reschedule(e, 2*Time(Second))
-}
-
+// A handle kept past its event's firing is stale: cancelling it must not
+// touch the free list, nor the newer event that reuses its struct.
 func TestSchedulerCancelAfterFired(t *testing.T) {
 	s := NewScheduler()
-	runs := 0
-	e := s.At(Time(Second), func() { runs++ })
+	tr := &taskRec{}
+	h := s.At(Time(Second), tr, 1)
 	s.Run()
-	s.Cancel(e) // must be a harmless no-op
-	if !e.Cancelled() {
-		t.Fatal("Cancelled() not reported after post-fire Cancel")
+	s.Cancel(h) // must be a harmless no-op
+	if s.FreeListLen() != 1 {
+		t.Fatalf("free list holds %d events after a stale Cancel, want 1", s.FreeListLen())
 	}
-	if s.FreeListLen() != 0 {
-		t.Fatal("closure event leaked into the task free list")
+	h2 := s.After(Duration(Second), tr, 2)
+	if h2.ev != h.ev {
+		t.Fatal("precondition: the second event should reuse the fired one's struct")
 	}
-	if runs != 1 {
-		t.Fatalf("runs = %d", runs)
+	s.Cancel(h)
+	s.Run()
+	if len(tr.got) != 2 || tr.got[0] != 1 || tr.got[1] != 2 {
+		t.Fatalf("runs = %v, want [1 2]", tr.got)
+	}
+}
+
+// A handle kept across Reset refers to a dead simulation: it must not
+// cancel an event scheduled after the Reset, even one that reuses its
+// event struct.
+func TestSchedulerHandleAcrossResetIsStale(t *testing.T) {
+	s := NewScheduler()
+	tr := &taskRec{}
+	h := s.At(Time(Second), tr, 1)
+	s.Reset()
+	h2 := s.At(Time(Second), tr, 2)
+	if h2.ev != h.ev {
+		t.Fatal("precondition: the post-Reset event should reuse the dropped one's struct")
+	}
+	s.Cancel(h)
+	if s.Len() != 1 {
+		t.Fatalf("stale handle cancelled a post-Reset event: Len = %d", s.Len())
+	}
+	s.Run()
+	if len(tr.got) != 1 || tr.got[0] != 2 {
+		t.Fatalf("runs = %v, want [2]", tr.got)
 	}
 }
 
@@ -467,12 +444,12 @@ func BenchmarkSchedulerChurn(b *testing.B) {
 	s := NewScheduler()
 	g := rand.New(rand.NewSource(1))
 	// Keep a standing population of events, replacing each as it fires.
-	var fire func()
+	var fire do
 	fire = func() {
-		s.After(Duration(g.Int63n(int64(Second))), fire)
+		s.After(Duration(g.Int63n(int64(Second))), fire, 0)
 	}
 	for i := 0; i < 1024; i++ {
-		s.After(Duration(g.Int63n(int64(Second))), fire)
+		s.After(Duration(g.Int63n(int64(Second))), fire, 0)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -487,19 +464,19 @@ func TestSchedulerResetMatchesFresh(t *testing.T) {
 	type rec struct{ order []int }
 	load := func(s *Scheduler, r *rec) {
 		tr := &taskRec{}
-		s.At(5, func() { r.order = append(r.order, 1) })
-		s.At(5, func() { r.order = append(r.order, 2) }) // FIFO tie
-		s.AtTask(3, tr, 3)
-		s.After(10, func() { r.order = append(r.order, 4); r.order = append(r.order, tr.got...) })
+		s.At(5, do(func() { r.order = append(r.order, 1) }), 0)
+		s.At(5, do(func() { r.order = append(r.order, 2) }), 0) // FIFO tie
+		s.At(3, tr, 3)
+		s.After(10, do(func() { r.order = append(r.order, 4); r.order = append(r.order, tr.got...) }), 0)
 		s.RunUntil(20)
 	}
 
 	reused := NewScheduler()
-	// First life: leave pending events in the heap (both flavours) so Reset
-	// has something nontrivial to clear.
-	reused.At(1, func() {})
-	reused.AtTask(100, &taskRec{}, 0)
-	reused.At(200, func() {})
+	// First life: leave pending events in the heap so Reset has something
+	// nontrivial to clear.
+	reused.At(1, &taskRec{}, 0)
+	reused.At(100, &taskRec{}, 0)
+	reused.At(200, &taskRec{}, 0)
 	reused.RunUntil(50)
 	if reused.Len() == 0 {
 		t.Fatal("test wants pending events at Reset")
@@ -510,7 +487,7 @@ func TestSchedulerResetMatchesFresh(t *testing.T) {
 		t.Fatalf("reset state: now=%v len=%d executed=%d", reused.Now(), reused.Len(), reused.Executed)
 	}
 	if reused.FreeListLen() == 0 {
-		t.Fatal("reset dropped the pooled task event instead of recycling it")
+		t.Fatal("reset dropped the pending events instead of recycling them")
 	}
 
 	var a, b rec
@@ -572,11 +549,10 @@ func TestRunUntilBudgetChunksMatchRunUntil(t *testing.T) {
 		// A cascading workload: events schedule follow-ups, including
 		// some beyond the horizon.
 		for i := 0; i < 10; i++ {
-			i := i
-			s.At(Time(i)*Time(Millisecond), func() {
+			s.At(Time(i)*Time(Millisecond), do(func() {
 				order = append(order, i)
-				s.After(3*Millisecond, func() { order = append(order, 100+i) })
-			})
+				s.After(3*Millisecond, do(func() { order = append(order, 100+i) }), 0)
+			}), 0)
 		}
 		return s, &order
 	}
@@ -621,7 +597,7 @@ func TestRunUntilBudgetStopsMidRun(t *testing.T) {
 	s := NewScheduler()
 	var ran int
 	for i := 0; i < 6; i++ {
-		s.At(Time(i)*Time(Second), func() { ran++ })
+		s.At(Time(i)*Time(Second), do(func() { ran++ }), 0)
 	}
 	horizon := 10 * Time(Second)
 	if done := s.RunUntilBudget(horizon, 2); done {

@@ -2,6 +2,9 @@
 // used by every other subsystem: a virtual clock, an event scheduler with
 // FIFO tie-breaking, and seeded random-number streams.
 //
+// There is one way to schedule an event: Scheduler.At or After, with a
+// Task and an integer argument; the returned TaskHandle is for Cancel.
+//
 // The kernel is single-threaded by design: a simulation run is a pure
 // function of its configuration (including the seed), which makes runs
 // reproducible bit-for-bit. Parallelism belongs one level up, where

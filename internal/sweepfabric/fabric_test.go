@@ -384,6 +384,91 @@ func TestFigureQueryWarmPath(t *testing.T) {
 	}
 }
 
+// TestMemoEvictsLeastRecentlyUsed: past its cap the memo drops the entry
+// used longest ago, where a get counts as a use and a put of a present
+// key refreshes it without growing the memo.
+func TestMemoEvictsLeastRecentlyUsed(t *testing.T) {
+	m := newMemo(3)
+	put := func(k string) { m.put(k, renderedQuery{body: k}) }
+	put("a")
+	put("b")
+	put("c")
+	m.get("a") // order, most recent first: a c b
+	put("d")   // evicts b
+	if _, ok := m.get("b"); ok {
+		t.Fatal("b survived, though it was the least recently used")
+	}
+	put("c") // refresh, no growth: c d a
+	put("e") // evicts a
+	for k, want := range map[string]bool{"a": false, "c": true, "d": true, "e": true} {
+		if rq, ok := m.get(k); ok != want || (ok && rq.body != k) {
+			t.Errorf("get(%q) = %q, %v; want present=%v", k, rq.body, ok, want)
+		}
+	}
+	if len(m.entries) != 3 {
+		t.Fatalf("memo holds %d entries, cap 3", len(m.entries))
+	}
+}
+
+// TestEvictedQueryRendersAgain: a query evicted from a full memo is
+// rendered afresh from the store on its next request — answered
+// "rendered", not "warm" — with the same bytes it was first served.
+func TestEvictedQueryRendersAgain(t *testing.T) {
+	store, err := runcache.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	board := NewBoard(store)
+	fs := NewServer(board)
+	fs.Base = quickBase()
+	fs.rendered = newMemo(2)
+	srv := httptest.NewServer(fs)
+	defer srv.Close()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	w := &Worker{Coordinator: board, Name: "resident", Parallel: 2, Batch: 2, Poll: 5 * time.Millisecond}
+	go w.Run(ctx)
+
+	// Three figures over one small grid: only the first query simulates.
+	get := func(fig string) (string, string) {
+		resp, err := http.Get(srv.URL + "/v1/figure?fig=" + fig + "&protocols=AODV&speeds=2&reps=1&seedbase=5")
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: HTTP %d: %s", fig, resp.StatusCode, body)
+		}
+		return resp.Header.Get("X-Sweepd-Query"), string(body)
+	}
+	for _, step := range []struct{ fig, want string }{
+		{"fig5", "rendered"},
+		{"fig6", "rendered"},
+		{"fig5", "warm"},     // fig5 is now the most recently used
+		{"fig7", "rendered"}, // evicts fig6
+		{"fig5", "warm"},
+	} {
+		if got, _ := get(step.fig); got != step.want {
+			t.Fatalf("%s answered %q, want %q", step.fig, got, step.want)
+		}
+	}
+	_, first := get("fig7") // warm: fig7 fig5
+	get("fig6")             // evicts fig5: fig6 fig7
+	get("fig5")             // evicts fig7: fig5 fig6
+	kind, again := get("fig7")
+	if kind != "rendered" {
+		t.Fatalf("evicted fig7 answered %q, want rendered", kind)
+	}
+	if again != first {
+		t.Fatalf("evicted fig7 rendered different bytes:\n--- first ---\n%s\n--- again ---\n%s", first, again)
+	}
+}
+
 // BenchmarkWarmFigureQuery measures the memoised query path — the
 // number PERFORMANCE.md's "Sweep fabric" section reports.
 func BenchmarkWarmFigureQuery(b *testing.B) {

@@ -311,3 +311,49 @@ func TestFigureQueryRejectsNonFiniteNumbers(t *testing.T) {
 			sweep.Speeds, sweep.Base.Duration, sweep.Base.TCPStart)
 	}
 }
+
+// TestFigureQueryRejectsUnknownParamsAndProtocols: a misspelt parameter
+// used to be ignored (serving, and memoising, the default grid), and an
+// unknown protocol used to enqueue cells that could only fail. Both are
+// a 400 before the memo is consulted or any cell is enqueued.
+func TestFigureQueryRejectsUnknownParamsAndProtocols(t *testing.T) {
+	store, err := runcache.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	board := NewBoard(store)
+	server := NewServer(board)
+	srv := httptest.NewServer(server)
+	defer srv.Close()
+
+	for _, q := range []url.Values{
+		{"fig": {"fig9"}, "speed": {"5"}},
+		{"fig": {"fig9"}, "reps": {"1"}, "Speeds": {"5"}},
+		{"fig": {"fig9"}, "reps": {"1"}, "protocols": {"MTS,NOPE"}},
+		{"fig": {"fig9"}, "reps": {"1"}, "protocols": {"mts"}},
+		{"fig": {"fig9"}, "reps": {"1"}, "protocols": {"MTS,"}},
+	} {
+		// Plant a memo entry under the query's key: the check must run
+		// before the lookup, or the planted body would be served.
+		server.rendered.put(queryKey(q), renderedQuery{body: "planted", format: "table"})
+		resp, err := http.Get(srv.URL + "/v1/figure?" + q.Encode())
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: HTTP %d, want 400", q.Encode(), resp.StatusCode)
+		}
+	}
+	if st := board.Stats(); st.CellsEnqueued != 0 {
+		t.Fatalf("rejected queries enqueued cells: %+v", st)
+	}
+
+	// Every allowed parameter and every protocol still passes the check.
+	ok := url.Values{"fig": {"fig9"}, "format": {"csv"}, "timeout": {"1s"},
+		"protocols": {strings.Join(scenario.AllProtocols(), ",")}, "speeds": {"2"},
+		"reps": {"1"}, "seedbase": {"3"}, "nodes": {"10"}, "duration": {"5"}, "tcpstart": {"1"}}
+	if _, err := server.sweepFromQuery(ok); err != nil {
+		t.Fatal(err)
+	}
+}

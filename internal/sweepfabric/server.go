@@ -4,7 +4,7 @@ package sweepfabric
 // is the fabric's reason to exist: it enqueues the figure's grid, waits
 // for the fleet to fill the store, then aggregates with the ordinary
 // Sweep.Run — all cache hits, byte-identical to a single-process sweep —
-// and memoises the rendered text, so a warm re-query is a map lookup.
+// and memoises the rendered text, so a warm re-query skips the engine.
 
 import (
 	"encoding/json"
@@ -12,6 +12,7 @@ import (
 	"math"
 	"net/http"
 	"net/url"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -40,7 +41,7 @@ type Server struct {
 	QueryTimeout time.Duration
 
 	mu       sync.Mutex
-	rendered map[string]renderedQuery
+	rendered *memo
 	qstats   QueryStats
 }
 
@@ -61,12 +62,61 @@ type renderedQuery struct {
 	format string
 }
 
+// memoCap bounds the rendered-query memo. Every distinct valid query
+// would otherwise add an entry for good (seedbase alone spans every
+// int64); a client re-asking the paper's figures needs a handful.
+const memoCap = 1024
+
+// memo is the rendered-query memo: a map that evicts its least recently
+// used entry beyond cap entries. The Server's mutex guards it.
+type memo struct {
+	cap     int
+	clock   uint64 // advanced by every get and put
+	entries map[string]*memoEntry
+}
+
+type memoEntry struct {
+	rq   renderedQuery
+	used uint64 // clock at the entry's last get or put
+}
+
+func newMemo(cap int) *memo { return &memo{cap: cap, entries: make(map[string]*memoEntry)} }
+
+// get returns the entry for key and marks it most recently used.
+func (m *memo) get(key string) (renderedQuery, bool) {
+	e, ok := m.entries[key]
+	if !ok {
+		return renderedQuery{}, false
+	}
+	m.clock++
+	e.used = m.clock
+	return e.rq, true
+}
+
+// put stores rq under key as the most recently used entry. Eviction scans
+// the memo, but only a rendered query puts, and that has just aggregated
+// a whole sweep.
+func (m *memo) put(key string, rq renderedQuery) {
+	m.clock++
+	m.entries[key] = &memoEntry{rq: rq, used: m.clock}
+	if len(m.entries) <= m.cap {
+		return
+	}
+	oldest := key
+	for k, e := range m.entries {
+		if e.used < m.entries[oldest].used {
+			oldest = k
+		}
+	}
+	delete(m.entries, oldest)
+}
+
 // NewServer wraps a board in the fabric's HTTP API.
 func NewServer(b *Board) *Server {
 	s := &Server{
 		board:    b,
 		mux:      http.NewServeMux(),
-		rendered: make(map[string]renderedQuery),
+		rendered: newMemo(memoCap),
 	}
 	s.mux.HandleFunc("POST /v1/lease", s.handleLease)
 	s.mux.HandleFunc("POST /v1/complete", s.handleComplete)
@@ -284,15 +334,27 @@ func queryKey(q url.Values) string {
 
 // sweepFromQuery builds the aggregation sweep a figure query describes.
 // The paper grid is the default; protocols, speeds, reps, seedbase,
-// nodes and duration (seconds) override it.
+// nodes and duration (seconds) override it. A parameter outside
+// figureParams is an error (a misspelt "speed" would otherwise serve, and
+// memoise, the default grid), and so is a protocol no cell can run.
 func (s *Server) sweepFromQuery(q url.Values) (experiment.Sweep, error) {
 	base := s.Base
 	if base.Nodes == 0 {
 		base = scenario.DefaultConfig()
 	}
 	sweep := experiment.PaperSweep(base)
+	for k := range q {
+		if !figureParams[k] {
+			return sweep, fmt.Errorf("unknown parameter %q", k)
+		}
+	}
 	if v := q.Get("protocols"); v != "" {
 		sweep.Protocols = strings.Split(v, ",")
+		for _, p := range sweep.Protocols {
+			if !slices.Contains(scenario.AllProtocols(), p) {
+				return sweep, fmt.Errorf("unknown protocol %q (one of %s)", p, strings.Join(scenario.AllProtocols(), ", "))
+			}
+		}
 	}
 	if v := q.Get("speeds"); v != "" {
 		var speeds []float64
@@ -343,6 +405,12 @@ func (s *Server) sweepFromQuery(q url.Values) (experiment.Sweep, error) {
 	return sweep, nil
 }
 
+// figureParams are the parameters a figure query may carry.
+var figureParams = map[string]bool{
+	"fig": true, "format": true, "timeout": true, "protocols": true, "speeds": true,
+	"reps": true, "seedbase": true, "nodes": true, "duration": true, "tcpstart": true,
+}
+
 // finite reports whether f is neither NaN nor infinite: strconv.ParseFloat
 // accepts "NaN" and "Inf", and NaN slips past every ordered comparison.
 func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
@@ -372,9 +440,15 @@ func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("unknown format %q (table or csv)", format))
 		return
 	}
+	// Validate before the memo lookup, so a bad query is never served.
+	sweep, err := s.sweepFromQuery(q)
+	if err != nil {
+		httpError(w, http.StatusBadRequest, err)
+		return
+	}
 	qk := queryKey(q)
 	s.mu.Lock()
-	if rq, ok := s.rendered[qk]; ok {
+	if rq, ok := s.rendered.get(qk); ok {
 		s.qstats.Queries++
 		s.qstats.WarmHits++
 		s.mu.Unlock()
@@ -387,11 +461,6 @@ func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.Unlock()
 
-	sweep, err := s.sweepFromQuery(q)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
 	timeout := s.QueryTimeout
 	if timeout <= 0 {
 		timeout = DefaultQueryTimeout
@@ -452,7 +521,7 @@ func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 	}
 
 	s.mu.Lock()
-	s.rendered[qk] = renderedQuery{body: body, format: format}
+	s.rendered.put(qk, renderedQuery{body: body, format: format})
 	s.qstats.Queries++
 	s.qstats.ColdCells += cold
 	s.qstats.InlineRuns += res.CacheMisses

@@ -114,8 +114,8 @@ func TestSinkDelayCountedOnFirstArrivalOnly(t *testing.T) {
 	p, sink, mk := sinkRig(t)
 	first := mk(0)
 	dup := mk(0)
-	p.sched.After(10*sim.Millisecond, func() { sink.receive(first, 1) })
-	p.sched.After(500*sim.Millisecond, func() { sink.receive(dup, 1) })
+	p.sched.After(10*sim.Millisecond, do(func() { sink.receive(first, 1) }), 0)
+	p.sched.After(500*sim.Millisecond, do(func() { sink.receive(dup, 1) }), 0)
 	p.sched.Run()
 	if sink.Stats.TotalDelay != 10*sim.Millisecond {
 		t.Fatalf("totalDelay = %v, want 10ms", sink.Stats.TotalDelay)

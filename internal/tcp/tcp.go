@@ -212,11 +212,11 @@ func (s *Sender) armTimer() {
 	if d > s.cfg.MaxRTO {
 		d = s.cfg.MaxRTO
 	}
-	s.timer = s.net.Scheduler().AfterTaskCancellable(d, s, 0)
+	s.timer = s.net.Scheduler().After(d, s, 0)
 }
 
 func (s *Sender) cancelTimer() {
-	s.net.Scheduler().CancelTask(s.timer) // a clear handle is a no-op
+	s.net.Scheduler().Cancel(s.timer) // a clear handle is a no-op
 	s.timer = sim.TaskHandle{}
 }
 

@@ -7,6 +7,11 @@ import (
 	"mtsim/internal/sim"
 )
 
+// do adapts a closure to sim.Task for ad-hoc test events.
+type do func()
+
+func (f do) Run(int) { f() }
+
 // pipe is an in-memory two-endpoint network with configurable one-way
 // delay and a programmable drop predicate — enough to exercise the full
 // Reno state machine without a radio stack.
@@ -54,11 +59,11 @@ func (e *pipeEnd) Originate(p *packet.Packet) {
 		return
 	}
 	from := e.id
-	e.p.sched.After(e.p.delay, func() {
+	e.p.sched.After(e.p.delay, do(func() {
 		if h, ok := dst.flows[p.TCP.Flow]; ok {
 			h(p, from)
 		}
-	})
+	}), 0)
 }
 
 // rig10ms builds sender at node 1, sink at node 2, 10ms one-way delay.
